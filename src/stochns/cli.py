@@ -30,6 +30,29 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_NONFINITE = 4
 
+_M_TRIM_THRESHOLD = -1   # glibc mallopt parameters (malloc.h)
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_memory() -> None:
+    """Let the allocator keep freed heap memory for reuse (glibc only).
+
+    Every step allocates and frees array temporaries of 0.1-30 MiB. Under
+    glibc's default dynamic thresholds, whether they go back to the kernel
+    between steps depends on the heap's layout at the time, and when they
+    do, each 4 KiB page faults again on the next step: 1.1 M faults and a
+    third of the wall time of a 2000-step grid-100 `simulate`. Serving
+    arrays below 32 MiB from the heap, and trimming it only when 256 MiB
+    lie free at its top, keeps them resident. Elsewhere this is a no-op.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
 
 def _fmt(value) -> str:
     """Stable shortest-roundtrip float formatting for CSV cells."""
@@ -257,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _retain_freed_memory()
     try:
         config = _load_config(args)
     except ConfigError as err:

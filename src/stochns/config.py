@@ -1,9 +1,19 @@
 """Experiment configuration: strict JSON schema, validation, object builders.
 
 Unknown keys are errors (a silently ignored typo would invalidate a
-convergence study). Hard invariants: n_ref >= 2 * max(cutoffs) and
-grid_n >= 3 * n_ref (dealiasing headroom for the reference run). The dt
-stability rule only warns.
+convergence study). Hard invariants: n_ref >= 2 * max(cutoffs),
+grid_n >= 3 * n_ref (dealiasing headroom for the reference run), and a
+phi_cap whose squared Gevrey-H^2 weight at |k| = n_ref stays in double
+range. The dt stability rule only warns.
+
+`lattice.grid_n` is the grid of the reference run (and of every command
+that steps at n_ref). Each Galerkin cutoff N of a multi-cutoff study steps
+on its own minimal dealias grid, `cutoff_lattice(N)`: the smallest fast even
+grid of at least 3N+1 points, capped at grid_n. For the decay preset
+(grid_n 200):
+
+    N     8   12   16   24   32   n_ref 64
+    grid 28   40   50   80   98        200
 """
 
 from __future__ import annotations
@@ -11,12 +21,13 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .brownian import PathSpec
-from .fields import GevreyWeight, SpectralField, random_h1_field
-from .lattice import WaveLattice, build_lattice
+from .fields import _LOG_MAX_DOUBLE, GevreyWeight, SpectralField, random_h1_field
+from .lattice import WaveLattice, build_lattice, galerkin_grid
 from .noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                     solenoidal_mode_field)
 from .sde import StepperConfig
@@ -170,6 +181,19 @@ class ExperimentConfig:
         gev = d["gevrey"]
         if gev["s"] <= 0 or gev["r"] < 0 or gev["phi_cap"] < 0:
             raise ConfigError("gevrey: s > 0, r >= 0, phi_cap >= 0 required")
+        # the largest squared weight the stepper evaluates is the Gevrey-H^2
+        # one, |k|^4 exp(2 phi |k|^(1/s)), at |k| = n_ref
+        n_ref = gal["n_ref"]
+        exponent = gev["phi_cap"] * n_ref ** (1.0 / gev["s"])
+        if exponent > gev["exp_guard"]:
+            raise ConfigError(
+                f"gevrey.phi_cap={gev['phi_cap']}: exponent {exponent:.1f} at |k|=n_ref "
+                f"exceeds gevrey.exp_guard={gev['exp_guard']}")
+        log_weight = 2.0 * exponent + 4.0 * math.log(n_ref)
+        if log_weight > _LOG_MAX_DOUBLE:
+            raise ConfigError(
+                f"gevrey.phi_cap={gev['phi_cap']}: the squared Gevrey weight at |k|=n_ref "
+                f"is exp({log_weight:.1f}), beyond double range exp({_LOG_MAX_DOUBLE:g})")
         mon = d["monitors"]
         if mon["budget_m"] <= 1:
             raise ConfigError("monitors.budget_m must exceed 1")
@@ -219,6 +243,12 @@ class ExperimentConfig:
     def build_lattice(self) -> WaveLattice:
         return build_lattice(self["lattice.dim"], self["lattice.grid_n"])
 
+    def cutoff_lattice(self, cutoff: int) -> WaveLattice:
+        """Lattice a Galerkin run at `cutoff` steps on: its minimal dealias
+        grid, never finer than the reference grid `lattice.grid_n`."""
+        return build_lattice(self["lattice.dim"],
+                             min(self["lattice.grid_n"], galerkin_grid(cutoff)))
+
     def gevrey_weight(self, phi: float = 0.0) -> GevreyWeight:
         g = self.data["gevrey"]
         return GevreyWeight(s=g["s"], r=g["r"], phi=phi, exp_guard=g["exp_guard"])
@@ -254,7 +284,6 @@ class ExperimentConfig:
             phi_cap=self["gevrey.phi_cap"],
             budget_m=self["monitors.budget_m"],
             h2_r=self["monitors.h2_r"],
-            k_max=len(self["noise.transport.index_set"]),
             convection=phy["convection"] if convection is None else convection,
             k0=self["initial.k0"],
         )

@@ -18,8 +18,9 @@ import numpy as np
 from . import nonlinear
 from .fields import (GevreyWeight, SpectralField, gevrey_apply, mode_weight,
                      random_field, require_same_lattice, sobolev_norm,
-                     weighted_inner, galerkin_complement, galerkin_project)
-from .lattice import WaveLattice
+                     transfer, weighted_inner, galerkin_complement,
+                     galerkin_project)
+from .lattice import WaveLattice, get_lattice
 
 
 class FitRefusedError(RuntimeError):
@@ -174,12 +175,10 @@ def _sample_gevrey_field(lattice: WaveLattice, rng: np.random.Generator,
     alone, so coarse and fine lattices see the same low-mode content (common
     random numbers) and max-ratio studies compare like with like.
     """
-    from .lattice import get_lattice
-    from .fields import restrict_to
     ref = get_lattice(lattice.dim, max(_SAMPLE_REF_N, lattice.grid_n))
     f = random_field(ref, rng, envelope=lambda k: np.exp(-delta * k) * k**-1.0)
     if ref.grid_n != lattice.grid_n:
-        f = restrict_to(f, lattice)
+        f = transfer(f, lattice)
     return nonlinear.dealias(f)
 
 

@@ -349,24 +349,27 @@ def random_h1_field(lattice: WaveLattice, seed: int, beta: float = 2.2,
     return f.with_coeffs(f.coeffs * math.sqrt(k0 / h1), solenoidal=True)
 
 
-def restrict_to(f: SpectralField, lattice: WaveLattice) -> SpectralField:
-    """Copy f's coefficients at the wavevectors shared with a coarser lattice.
+def transfer(f: SpectralField, lattice: WaveLattice) -> SpectralField:
+    """Copy f's coefficients at the wavevectors it shares with another lattice.
 
-    Modes outside the target lattice are dropped; the target's Nyquist rows
-    and zero mode stay zero. Solenoidality and Hermitian symmetry survive
-    because restriction acts mode by mode.
+    Works in both directions. Onto a coarser lattice, modes the target cannot
+    hold (its Nyquist rows included) are dropped; onto a finer lattice, the
+    modes f lacks are zero. Shared wavevectors have every |k_i| below half
+    the smaller grid, where both lattices are active. Solenoidality and
+    Hermitian symmetry survive because the copy acts mode by mode.
     """
     src = f.lattice
     if lattice.dim != src.dim:
-        raise LatticeMismatchError("restriction requires equal dimension")
-    if lattice.grid_n > src.grid_n:
-        raise LatticeMismatchError("target lattice must not be finer than the source")
-    from .lattice import _int_frequencies
-    freq = _int_frequencies(lattice.grid_n)
-    src_idx = [freq % src.grid_n for _ in range(lattice.dim)]
-    gathered = f.coeffs[(slice(None),) + np.ix_(*src_idx)]
-    gathered = np.where(lattice.active, gathered, 0.0)
-    return SpectralField(lattice, gathered, solenoidal=f.solenoidal)
+        raise LatticeMismatchError(
+            f"transfer requires equal dimension, got {src.dim} and {lattice.dim}")
+    half = min(src.grid_n, lattice.grid_n) // 2
+    freq = np.arange(1 - half, half)
+    src_idx = np.ix_(*[freq % src.grid_n] * src.dim)
+    dst_idx = np.ix_(*[freq % lattice.grid_n] * src.dim)
+    coeffs = np.zeros((lattice.dim,) + lattice.shape, dtype=np.complex128)
+    coeffs[(slice(None),) + dst_idx] = f.coeffs[(slice(None),) + src_idx]
+    coeffs[(slice(None),) + (0,) * lattice.dim] = 0.0
+    return SpectralField(lattice, coeffs, solenoidal=f.solenoidal)
 
 
 def single_mode_field(lattice: WaveLattice, kvec, amplitude,

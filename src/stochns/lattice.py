@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,24 @@ def _cached_lattice(dim: int, grid_n: int) -> WaveLattice:
 def get_lattice(dim: int, grid_n: int) -> WaveLattice:
     """Cached build_lattice; lattices are immutable so sharing is safe."""
     return _cached_lattice(dim, grid_n)
+
+
+def galerkin_grid(cutoff: int) -> int:
+    """Smallest fast transform grid on which a Galerkin run at `cutoff` is exact.
+
+    A product of two modes with |k| <= N has components |k_i| <= 2N; on
+    M >= 3N+1 points its aliases shift by M and land at |k_i| >= N+1, off the
+    ball (Orszag's 2/3 rule), and every ball mode passes the dealias mask. The
+    result is the smallest even such M that `scipy.fft.next_fast_len` keeps
+    (sizes like 194 = 2*97 transform slowly), and at least 8.
+    """
+    if cutoff < 1:
+        raise ValueError(f"Galerkin cutoff must be >= 1, got {cutoff}")
+    grid = max(8, 3 * cutoff + 1)
+    grid += grid % 2
+    while next_fast_len(grid) != grid:
+        grid += 2
+    return grid
 
 
 def _shell_index(lat: WaveLattice) -> dict[int, np.ndarray]:

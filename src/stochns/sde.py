@@ -23,7 +23,8 @@ import numpy as np
 
 from .brownian import IncrementBlock, PathSpec, increments
 from .fields import (GevreyWeight, SpectralField, galerkin_project,
-                     leray_project, mode_weight, sobolev_norm_sq, zero_field)
+                     leray_project, mode_weight, sobolev_norm_sq, transfer,
+                     zero_field)
 from .lattice import WaveLattice
 from .noise import CONSTANT, NoiseSystem
 from . import nonlinear
@@ -49,7 +50,6 @@ class StepperConfig:
     phi_cap: float = 0.5
     budget_m: float = 2.0        # M > 1, threshold above the initial enstrophy
     h2_r: float = float("inf")   # R > 0, threshold on the H^2 time integral
-    k_max: int = 4
     convection: bool = True
     k0: float | None = None      # optional cap on the initial squared H^1 norm
 
@@ -155,12 +155,15 @@ class _Stepper:
         self.ball = lattice.ball_mask(cfg.cutoff)
         self.decay = np.where(self.ball,
                               np.exp(-cfg.nu * cfg.dt * lattice.ksq.astype(np.float64)), 0.0)
-        self.w_h1 = mode_weight(lattice, 1.0)
-        self.w_h2 = mode_weight(lattice, 2.0)
         self.visc = np.where(lattice.active, lattice.ksq.astype(np.float64), 0.0)
-        abs_ball = lattice.abs_k[self.ball]
-        max_k = float(abs_ball.max()) if abs_ball.size else 0.0
-        if cfg.phi_cap * max_k ** (1.0 / cfg.gevrey.s) > cfg.gevrey.exp_guard:
+        # observables read the ball only: the state is zero off it, and the
+        # Gevrey weight is then never evaluated where it could overflow
+        self.ball_index = np.flatnonzero(self.ball)
+        self.w_h1_ball = mode_weight(lattice, 1.0).ravel()[self.ball_index]
+        self.w_h2_ball = mode_weight(lattice, 2.0).ravel()[self.ball_index]
+        self.root_ball = np.power(lattice.abs_k.ravel()[self.ball_index], 1.0 / cfg.gevrey.s)
+        max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
+        if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
             raise ValueError("phi_cap too large for this lattice/cutoff (Gevrey guard)")
 
         # transport multipliers i(xi.k) per family position; None marks spectral xi
@@ -172,6 +175,8 @@ class _Stepper:
         for pos in range(len(system.xi.index_set)):
             coef = system.xi.coefficient(pos)
             if isinstance(coef, SpectralField):
+                if coef.lattice != lattice:
+                    raise ValueError("spectral transport coefficient lives on another lattice")
                 self.xi_mult.append(None)
                 self.xi_phase.append(None)
                 self.spectral_xis.append(coef)
@@ -182,11 +187,12 @@ class _Stepper:
                 corrector -= 0.5 * phase ** 2
         self.corrector_mult = corrector if not self.spectral_xis else None
 
-        # additive sigma fields arrive pre-projected onto the ball
+        # additive sigma fields arrive pre-projected onto the ball, carried
+        # over from the lattice they were built on
         self.additive_hat = None
         if system.g.variant == "additive":
             self.additive_hat = [
-                np.where(self.ball, leray_project(sig).coeffs, 0.0)
+                np.where(self.ball, transfer(leray_project(sig), lattice).coeffs, 0.0)
                 for sig in system.g.sigmas
             ]
 
@@ -287,21 +293,22 @@ class _Stepper:
 
     # -- scalar observables ---------------------------------------------------
 
-    def gevrey_factor(self, phi: float) -> np.ndarray:
-        if phi == 0.0:
-            return np.ones(self.lattice.shape)
-        return np.exp((2.0 * phi) * np.power(self.lattice.abs_k, 1.0 / self.cfg.gevrey.s))
-
     def observables(self, c: np.ndarray, phi: float) -> dict[str, float]:
-        mod = np.sum(c.real**2 + c.imag**2, axis=0)
-        gev = self.gevrey_factor(phi)
-        return {
-            "l2_sq": float(np.sum(mod * self.lattice.active)),
-            "h1_sq": float(np.sum(self.w_h1 * mod)),
-            "h2_sq": float(np.sum(self.w_h2 * mod)),
-            "gevrey_h1_sq": float(np.sum(self.w_h1 * gev * mod)),
-            "gevrey_h2_sq": float(np.sum(self.w_h2 * gev * mod)),
-        }
+        """Squared norms of a state supported on the ball, summed over the ball."""
+        cb = np.take(c.reshape(c.shape[0], -1), self.ball_index, axis=1)
+        mod = np.sum(cb.real**2 + cb.imag**2, axis=0)
+        h1 = self.w_h1_ball * mod
+        h2 = self.w_h2_ball * mod
+        obs = {"l2_sq": float(np.sum(mod)),
+               "h1_sq": float(np.sum(h1)),
+               "h2_sq": float(np.sum(h2))}
+        if phi == 0.0:
+            obs["gevrey_h1_sq"], obs["gevrey_h2_sq"] = obs["h1_sq"], obs["h2_sq"]
+        else:
+            gev = np.exp((2.0 * phi) * self.root_ball)
+            obs["gevrey_h1_sq"] = float(np.sum(h1 * gev))
+            obs["gevrey_h2_sq"] = float(np.sum(h2 * gev))
+        return obs
 
 
 def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
@@ -322,6 +329,9 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
     t_new = state.t + cfg.dt
     step_new = state.step + 1
     obs_new = stepper.observables(c_new, cfg.phi_at(t_new))
+    bad = [name for name, value in obs_new.items() if not math.isfinite(value)]
+    if bad:
+        raise NonFiniteError(f"non-finite {', '.join(bad)} at t={t_new:.6g} (step {step_new})")
     budget_sup = max(state.budget_sup, obs_new["gevrey_h1_sq"])
 
     stops = state.stops

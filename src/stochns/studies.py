@@ -19,9 +19,9 @@ import numpy as np
 from . import diagnostics, nonlinear
 from .brownian import increments, refine
 from .config import ConfigError, ExperimentConfig
-from .fields import (GevreyWeight, SpectralField, galerkin_complement,
-                     galerkin_project, leray_project, mode_weight, random_field,
-                     sobolev_norm_sq, weighted_inner, validate_physical)
+from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
+                     leray_project, random_field, sobolev_norm_sq, transfer,
+                     weighted_inner, validate_physical)
 from .noise import validate_system
 from .sde import (NonFiniteError, StepperConfig, Trajectory, _Stepper, _advance,
                   initial_state, integrate, linear_exact)
@@ -124,38 +124,42 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     """Integrate every cutoff and the reference on identical Wiener paths.
 
     All resolutions advance in lockstep consuming the same increment rows,
-    which realizes the coupled difference system. Per path and cutoff the
-    squared H^1 error is taken at t_end ^ tau_R, where tau_R is the first
-    time the paired H^2 integral reaches R (left-endpoint quadrature, stop at
-    step boundaries).
+    which realizes the coupled difference system. The reference steps on
+    the configured grid; each cutoff steps on its own minimal dealias grid
+    (`config.cutoff_lattice`), where its quadratic products are just as
+    exact. Per path and cutoff the squared H^1 error, with u_N carried onto
+    the reference lattice, is taken at t_end ^ tau_R, where tau_R is the
+    first time the paired H^2 integral reaches R (left-endpoint quadrature,
+    stop at step boundaries).
     """
     lattice, system, u0, _ = prepare(config)
     cutoffs = sorted(config["galerkin.cutoffs"])
     if len(cutoffs) < 3:
         raise ConfigError("decay study needs at least 3 cutoffs")
     n_ref = config["galerkin.n_ref"]
+    runs = (*cutoffs, n_ref)
     r_threshold = config["monitors.h2_r"]
-    w_h1 = mode_weight(lattice, 1.0)
+    lattices = {n: config.cutoff_lattice(n) for n in cutoffs}
+    lattices[n_ref] = lattice
+    steppers = {n: _Stepper(config.stepper_config(n), system, lattices[n]) for n in runs}
+    starts = {n: initial_state(transfer(u0, lattices[n]), steppers[n].cfg) for n in runs}
+    n_steps = steppers[n_ref].cfg.n_steps
+    dt = steppers[n_ref].cfg.dt
 
-    def h1_err_sq(a: SpectralField, b: SpectralField) -> float:
-        diff = a.coeffs - b.coeffs
-        return float(np.sum(w_h1 * np.sum(diff.real**2 + diff.imag**2, axis=0)))
+    def error_sq(u_ref, u_n) -> float:
+        return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
 
     def worker(path_index: int) -> DecayPathOutcome:
         path = config.path_spec(path_index, system.n_wiener)
-        cfg_ref = config.stepper_config(n_ref)
-        steppers = {n: _Stepper(config.stepper_config(n), system, lattice) for n in cutoffs}
-        steppers[n_ref] = _Stepper(cfg_ref, system, lattice)
-        states = {n: initial_state(u0, config.stepper_config(n)) for n in (*cutoffs, n_ref)}
-        n_steps = cfg_ref.n_steps
-        block = increments(path, 0.0, cfg_ref.dt, n_steps)
+        states = dict(starts)
+        block = increments(path, 0.0, dt, n_steps)
         errors: dict = {}
         stop_times: dict = {}
-        obs = {n: None for n in (*cutoffs, n_ref)}
+        obs = {n: None for n in runs}
         try:
             for i in range(n_steps):
                 row = block.increments[i]
-                for n in (*cutoffs, n_ref):
+                for n in runs:
                     states[n], obs[n] = _advance(states[n], steppers[n], row,
                                                  obs_now=obs[n])
                 for n in cutoffs:
@@ -164,14 +168,14 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
                     paired = states[n].h2_int + states[n_ref].h2_int
                     if paired >= r_threshold:
                         stop_times[n] = states[n].t
-                        errors[n] = h1_err_sq(states[n_ref].u, states[n].u)
+                        errors[n] = error_sq(states[n_ref].u, states[n].u)
         except NonFiniteError as err:
             return DecayPathOutcome(path_index=path_index, errors_sq={}, stop_times={},
                                     ref_tail_sq=float("nan"), nonfinite=str(err))
         for n in cutoffs:
             if n not in stop_times:
                 stop_times[n] = states[n_ref].t
-                errors[n] = h1_err_sq(states[n_ref].u, states[n].u)
+                errors[n] = error_sq(states[n_ref].u, states[n].u)
         tail = galerkin_complement(states[n_ref].u, max(cutoffs))
         return DecayPathOutcome(path_index=path_index, errors_sq=errors,
                                 stop_times=stop_times,
@@ -242,7 +246,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
                 nu=nu, dt=dts[lvl], t_end=t_end, cutoff=cutoff,
                 gevrey=config.gevrey_weight(), phi_cap=config["gevrey.phi_cap"],
                 budget_m=config["monitors.budget_m"], h2_r=config["monitors.h2_r"],
-                k_max=1, convection=False, k0=config["initial.k0"])
+                convection=False, k0=config["initial.k0"])
             traj = integrate(cfg, system, path, u0, store_every=10**9,
                              driving=block, check_stability=False)
             w_end = float(block.increments[:, 0].sum())
@@ -283,7 +287,8 @@ class ExceedanceResult:
 def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> ExceedanceResult:
     """Empirical exceedance fractions of the budget monitor per cutoff/horizon.
 
-    One integration per (path, cutoff) over the longest horizon; the stop
+    One integration per (path, cutoff) over the longest horizon, each on the
+    cutoff's minimal dealias grid (`config.cutoff_lattice`); the stop
     record gives exceedance at every shorter horizon for free, and the
     fraction is automatically nonincreasing as the horizon shrinks because
     the budget is nondecreasing.
@@ -296,10 +301,11 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
     n_paths = config["ensemble.n_paths"]
     for cutoff in cutoffs:
         cfg = dataclasses.replace(config.stepper_config(cutoff), t_end=t_max)
+        u0_n = transfer(u0, config.cutoff_lattice(cutoff))
 
-        def worker(path_index: int, cfg=cfg):
+        def worker(path_index: int, cfg=cfg, u0_n=u0_n):
             path = config.path_spec(path_index, system.n_wiener)
-            traj = integrate(cfg, system, path, u0, store_every=10**9,
+            traj = integrate(cfg, system, path, u0_n, store_every=10**9,
                              check_stability=False)
             rec = traj.final.stop_for("budget")
             return rec.time if rec else float("inf"), traj.states[0].budget_sup

@@ -156,6 +156,42 @@ def test_decay_study_smoke(tmp_path):
     assert errs[0] > errs[-1]
 
 
+def test_decay_study_additive_noise_smoke(tmp_path):
+    # the sigma field at k = (2, 1) is built on the reference lattice and
+    # carried onto each cutoff's grid; it lies outside the N = 2 ball
+    cfg = write_config(tmp_path, {
+        "lattice": {"grid_n": 32},
+        "galerkin": {"cutoffs": [2, 3, 4], "n_ref": 8},
+        "physics": {"t_end": 0.03, "dt": 0.001, "nu": 0.05, "convection": True},
+        "noise": {
+            "multiplicative": {"variant": "additive", "amplitudes": [0.5],
+                               "modes": [[2, 1]], "index_set": [0]},
+            "transport": {"variant": "constant", "amplitude": 0.5, "count": 2,
+                          "index_set": [1, 2]},
+        },
+        "ensemble": {"n_paths": 2, "workers": 1, "master_seed": 9001}}, "additive.json")
+    out = tmp_path / "add"
+    assert main(["decay-study", "--config", str(cfg), "--out", str(out)]) == 0
+    errs = [float(l.split(",")[1]) for l in (out / "decay.csv").read_text().splitlines()[1:]]
+    assert len(errs) == 3 and all(np.isfinite(errs)) and errs[0] > errs[-1]
+
+
+def test_decay_study_identical_across_workers(tmp_path):
+    # the steppers and start states are shared by the worker threads
+    manifests = []
+    for workers in (1, 4):
+        cfg = write_config(tmp_path, {
+            "lattice": {"grid_n": 32},
+            "galerkin": {"cutoffs": [2, 3, 4], "n_ref": 8},
+            "physics": {"t_end": 0.02, "dt": 0.001, "nu": 0.05, "convection": True},
+            "ensemble": {"n_paths": 6, "workers": workers, "master_seed": 9001}},
+            f"w{workers}.json")
+        out = tmp_path / f"w{workers}"
+        assert main(["decay-study", "--config", str(cfg), "--out", str(out)]) == 0
+        manifests.append({p.name: sha256_file(p) for p in data_files(out)})
+    assert manifests[0] == manifests[1] and len(manifests[0]) == 2
+
+
 def test_flag_overrides(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "ovr"

@@ -38,6 +38,23 @@ def test_validation_errors(overrides, msg):
         ExperimentConfig.default(**overrides)
 
 
+def test_phi_cap_beyond_double_range_rejected():
+    # n_ref 32: 2 * 11 * 32 + 4 ln 32 = 717.9 > 709, although 11 * 32 < exp_guard
+    with pytest.raises(ConfigError, match="double range"):
+        ExperimentConfig.default(**{"gevrey": {"phi_cap": 11.0}})
+    with pytest.raises(ConfigError, match="exp_guard"):
+        ExperimentConfig.default(**{"gevrey": {"phi_cap": 2.0, "exp_guard": 50.0}})
+    assert ExperimentConfig.default(**{"gevrey": {"phi_cap": 10.8}})["gevrey.phi_cap"] == 10.8
+
+
+def test_cutoff_lattice_minimal_and_capped():
+    cfg = ExperimentConfig.default(**{"lattice": {"grid_n": 96}})   # n_ref 32
+    assert cfg.cutoff_lattice(8).grid_n == 28
+    assert cfg.cutoff_lattice(16).grid_n == 50
+    assert cfg.cutoff_lattice(32).grid_n == 96   # galerkin_grid(32) = 98 > grid_n
+    assert cfg.cutoff_lattice(8).dim == 2
+
+
 def test_config_hash_is_content_addressed(tmp_path):
     cfg = ExperimentConfig.default()
     other = cfg.with_overrides({"ensemble": {"n_paths": 3}})

@@ -9,9 +9,10 @@ from stochns.fields import (GevreyOverflowError, GevreyWeight,
                             galerkin_complement, galerkin_project,
                             gevrey_apply, gevrey_sobolev_norm, hermitize,
                             leray_project, random_field, random_h1_field,
-                            restrict_to, single_mode_field, sobolev_norm,
-                            sobolev_norm_sq, stokes_power, validate_physical,
-                            weighted_inner, zero_field)
+                            single_mode_field, sobolev_norm,
+                            sobolev_norm_sq, stokes_power, transfer,
+                            validate_physical, weighted_inner, zero_field)
+from stochns.lattice import build_lattice
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +245,45 @@ def test_lattice_mismatch_raises(lat16, lat32):
 
 def test_restrict_to_copies_shared_modes(lat16, lat32):
     f = smooth_field(lat32, seed=23)
-    g = restrict_to(f, lat16)
+    g = transfer(f, lat16)
     assert validate_physical(g).ok(1e-13)
     for kv in [(1, 0), (3, -2), (-5, 7), (7, 7)]:
         src = f.coeffs[:, kv[0] % 32, kv[1] % 32]
         dst = g.coeffs[:, kv[0] % 16, kv[1] % 16]
         np.testing.assert_array_equal(src, dst)
+    # the coarse lattice's Nyquist rows cannot hold f's modes there
+    assert np.abs(g.coeffs[:, 8, :]).max() == 0.0 and np.abs(g.coeffs[:, :, 8]).max() == 0.0
+
+
+@pytest.mark.parametrize("dim,fine,coarse,cutoff", [(2, 32, 14, 4), (2, 64, 28, 8),
+                                                    (3, 16, 10, 3)])
+def test_transfer_round_trip_is_identity_on_ball(dim, fine, coarse, cutoff):
+    lat_f, lat_c = build_lattice(dim, fine), build_lattice(dim, coarse)
+    f = galerkin_project(rough_field(lat_f, seed=40), cutoff)
+    down = transfer(f, lat_c)
+    back = transfer(down, lat_f)
+    np.testing.assert_array_equal(back.coeffs, f.coeffs)
+    # the other way round: extend first, restrict back
+    g = galerkin_project(rough_field(lat_c, seed=41), cutoff)
+    np.testing.assert_array_equal(transfer(transfer(g, lat_f), lat_c).coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("dim,fine,coarse,cutoff", [(2, 32, 14, 4), (3, 16, 10, 3)])
+def test_transfer_preserves_norms_and_invariants(dim, fine, coarse, cutoff):
+    lat_f, lat_c = build_lattice(dim, fine), build_lattice(dim, coarse)
+    f = galerkin_project(rough_field(lat_f, seed=42), cutoff)
+    down = transfer(f, lat_c)
+    for g, target in ((down, lat_c), (transfer(down, lat_f), lat_f)):
+        assert g.lattice == target and g.solenoidal
+        rep = validate_physical(g)
+        assert rep.ok(1e-14), rep
+        for r in (0.0, 0.5, 1.0, 2.0):
+            assert sobolev_norm_sq(g, r) == pytest.approx(sobolev_norm_sq(f, r), rel=1e-14)
+
+
+def test_transfer_rejects_other_dimension(lat16, lat3d):
+    with pytest.raises(LatticeMismatchError, match="dimension"):
+        transfer(smooth_field(lat16, seed=43), lat3d)
 
 
 def test_gevrey_weight_multiplier_clamps(lat16):

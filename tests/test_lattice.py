@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochns.lattice import build_lattice, get_lattice
+from stochns.lattice import build_lattice, galerkin_grid, get_lattice
 
 
 def test_rejects_bad_grids():
@@ -85,3 +85,20 @@ def test_integer_frequencies_exact_on_awkward_grids():
         expect[expect > n // 2] -= n
         expect[expect == -(n // 2)] = n // 2
         assert np.array_equal(col, expect)
+
+
+def test_galerkin_grid_values():
+    # 64 skips 194 = 2*97, which transforms slowly
+    assert [galerkin_grid(n) for n in (4, 8, 32, 64)] == [14, 28, 98, 196]
+    assert galerkin_grid(1) == 8
+    with pytest.raises(ValueError):
+        galerkin_grid(0)
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 8, 12, 16, 24, 32, 64])
+def test_galerkin_grid_dealiases_the_ball(cutoff):
+    grid = galerkin_grid(cutoff)
+    assert grid % 2 == 0 and grid >= 3 * cutoff + 1
+    # every ball mode survives the 2/3-rule mask of that grid
+    lat = get_lattice(2, grid)
+    assert np.all(lat.dealias_mask[lat.ball_mask(cutoff)])

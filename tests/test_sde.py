@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field, transport_system
+from stochns import studies
 from stochns.brownian import PathSpec, increments
+from stochns.config import ExperimentConfig
 from stochns.fields import (GevreyWeight, SpectralField, random_h1_field,
-                            single_mode_field, sobolev_norm_sq,
+                            single_mode_field, sobolev_norm_sq, transfer,
                             validate_physical, zero_field)
+from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
 from stochns.sde import (NonFiniteError, StepperConfig, diffusion, drift,
@@ -72,6 +75,25 @@ def test_diffusion_additive_fields(lat32):
     assert len(outs) == 1
     expected = np.where(lat32.ball_mask(8), sigma.coeffs, 0.0)
     np.testing.assert_allclose(outs[0].coeffs, expected, atol=1e-15)
+
+
+def test_additive_sigma_carried_onto_stepper_lattice(lat16, lat32):
+    sigma = solenoidal_mode_field(lat32, (2, 1), 0.3)
+    system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
+                         xi=TransportNoise.empty(), n_wiener=1)
+    system, _ = validate_system(system, lat32, GevreyWeight(s=1, r=1, phi=0.0))
+    outs = diffusion(smooth_field(lat16, seed=2), make_cfg(cutoff=4), system)
+    expected = np.where(lat16.ball_mask(4),
+                        solenoidal_mode_field(lat16, (2, 1), 0.3).coeffs, 0.0)
+    np.testing.assert_allclose(outs[0].coeffs, expected, atol=1e-15)
+
+
+def test_spectral_xi_on_other_lattice_rejected(lat16, lat32):
+    xi = TransportNoise(variant="spectral", fields=(smooth_field(lat32, seed=3),),
+                        index_set=(0,))
+    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=xi, n_wiener=1)
+    with pytest.raises(ValueError, match="another lattice"):
+        drift(smooth_field(lat16, seed=4), make_cfg(cutoff=4), system)
 
 
 def test_diffusion_transport_multiplier(lat32, xi_system):
@@ -212,6 +234,26 @@ def test_resume_bit_compatible(lat32, xi_system, tmp_path):
     assert resumed.final.h2_int == full.final.h2_int
 
 
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 64, 8), (3, 24, 4)])
+def test_minimal_lattice_run_matches_reference_lattice(dim, grid, cutoff):
+    # convection plus linear and transport noise, 20 steps: stepping on the
+    # cutoff's minimal dealias grid changes nothing but rounding
+    ref = build_lattice(dim, grid)
+    small = build_lattice(dim, galerkin_grid(cutoff))
+    axes = np.eye(dim)
+    system = transport_system(ref, [0.4 * axes[0], 0.3 * axes[1]], g_coeffs=(0.2,))
+    cfg = make_cfg(cutoff=cutoff, t_end=0.02, k0=1.0)
+    u0 = random_h1_field(ref, seed=14, k0=1.0)
+    path = PathSpec(7, 0, system.n_wiener)
+    on_ref = integrate(cfg, system, path, u0)
+    on_small = integrate(cfg, system, path, transfer(u0, small))
+    assert on_small.final.u.lattice == small and on_small.final.step == 20
+    diff = sobolev_norm_sq(on_ref.final.u - transfer(on_small.final.u, ref), 1.0)
+    assert math.sqrt(diff) <= 1e-12 * math.sqrt(sobolev_norm_sq(on_ref.final.u, 1.0))
+    for key in ("h1_sq", "h2_int", "budget_sup", "budget_int"):
+        np.testing.assert_allclose(on_small.series[key], on_ref.series[key], rtol=1e-12)
+
+
 def test_stability_rule_warns(lat32, xi_system):
     cfg = make_cfg(dt=0.5, t_end=1.0, cutoff=8)
     bound = dt_stability_bound(cfg, xi_system, 1.0)
@@ -288,3 +330,33 @@ def test_nonfinite_blowup_aborts_with_partial_trajectory(lat32):
         integrate(cfg, system, PathSpec(9, 0, 0), u0, check_stability=False)
     partial = err.value.trajectory
     assert partial is not None and len(partial.series["t"]) >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_large_phi_cap_budget_stays_finite():
+    # grid 200, n_ref 16, phi_cap 3: the Gevrey weight exp(2 phi |k|) overflows
+    # off the ball; evaluated there it turned the H^2 budget into a silent NaN
+    # near t = 2.47 while the stale sup hid it
+    config = ExperimentConfig.default(**{
+        "lattice": {"grid_n": 200},
+        "physics": {"dt": 0.01, "t_end": 3.0},
+        "gevrey": {"phi_cap": 3.0},
+        "galerkin": {"cutoffs": [4, 8], "n_ref": 16},
+        "ensemble": {"n_paths": 1}})
+    result = studies.simulate(config).paths[0]
+    assert result.nonfinite is None
+    series = result.trajectory.series
+    for key in ("gevrey_h1_sq", "gevrey_h2_sq", "budget_sup", "budget_int"):
+        assert np.all(np.isfinite(series[key])), key
+    assert series["budget_sup"][-1] == series["gevrey_h1_sq"].max()
+    assert result.trajectory.final.stop_for("budget") is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_observable_raises(lat32, off_system):
+    # finite coefficients whose squared modulus overflows
+    cfg = make_cfg(cutoff=4)
+    u = single_mode_field(lat32, (1, 0), (0.0, 1e200))
+    state = initial_state(u, cfg)
+    with pytest.raises(NonFiniteError, match="non-finite l2_sq"):
+        step(state, cfg, off_system, np.zeros(0))
