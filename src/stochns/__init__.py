@@ -24,7 +24,7 @@ from .fields import (GevreyOverflowError, GevreyWeight, LatticeMismatchError,
 from .lattice import WaveLattice, build_lattice, get_lattice
 from .noise import (MultiplicativeNoise, NoiseSystem, TransportNoise, eval_g,
                     validate_commutativity, validate_growth_lipschitz,
-                    validate_orthogonality, validate_system, validate_xi_bound)
+                    validate_orthogonality, validate_system)
 from .nonlinear import (TransformWorkspace, convect, dealias, ito_corrector,
                         transport)
 from .sde import (NonFiniteError, SimState, StepperConfig, StopRecord,

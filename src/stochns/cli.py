@@ -206,18 +206,17 @@ def cmd_linear_oracle(config: ExperimentConfig, out_dir: Path) -> int:
 def cmd_invariants(config: ExperimentConfig, out_dir: Path) -> int:
     rec = RunRecorder("invariants", config, out_dir)
     checks = studies.invariant_checks(config)
-    rows = [(c.name, c.value, c.threshold, "pass" if c.passed else "FAIL",
-             "info" if c.informational else "", c.detail) for c in checks]
+    rows = [(c.name, c.value, c.threshold, "pass" if c.passed else "FAIL", c.detail)
+            for c in checks]
     rec.add(write_csv(out_dir / "invariants.csv",
-                      ["check", "residual", "threshold", "status", "kind", "detail"], rows))
+                      ["check", "residual", "threshold", "status", "detail"], rows))
     rec.extra["failures"] = [c.name for c in checks if not c.passed]
     rec.write()
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        note = " (informational)" if c.informational else ""
         print(f"[{status}] {c.name:<{width}} residual={c.value:.3e} "
-              f"threshold={c.threshold:g}{note}")
+              f"threshold={c.threshold:g}")
     failures = [c for c in checks if not c.passed]
     if failures:
         print(f"{len(failures)} invariant check(s) failed")

@@ -2,9 +2,13 @@
 
 Unknown keys are errors (a silently ignored typo would invalidate a
 convergence study). Hard invariants: n_ref >= 2 * max(cutoffs),
-grid_n >= 3 * n_ref (dealiasing headroom for the reference run), and a
-phi_cap whose squared Gevrey-H^2 weight at |k| = n_ref stays in double
-range. The dt stability rule only warns.
+grid_n >= 3 * n_ref, and a phi_cap whose squared Gevrey-H^2 weight at
+|k| = n_ref stays in double range. The dt stability rule only warns.
+
+grid_n >= 3 * n_ref does not put the whole reference ball inside the dealias
+box: at equality the 2/3 mask drops the ball's axis modes |k_i| = n_ref
+(grid 48 at n_ref 16 in 3D loses 6 ball modes, grid 96 at n_ref 32 in 2D
+loses 4). That needs grid_n >= 3 * n_ref + 1 (ROADMAP item 1).
 
 `lattice.grid_n` is the grid of the reference run (and of every command
 that steps at n_ref). Each Galerkin cutoff N of a multi-cutoff study steps
@@ -231,7 +235,8 @@ class ExperimentConfig:
                 raise ConfigError("additive noise: amplitudes, modes, index_set lengths differ")
         tr = noise["transport"]
         if tr["variant"] != "constant":
-            raise ConfigError("transport.variant must be 'constant' (spectral xi is library-only)")
+            raise ConfigError(f"transport.variant must be 'constant' (transport coefficients "
+                              f"are constant vectors), got {tr['variant']!r}")
         if "vectors" in tr:
             if len(tr["vectors"]) != len(tr["index_set"]):
                 raise ConfigError("transport: vectors and index_set lengths differ")

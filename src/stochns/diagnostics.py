@@ -142,8 +142,7 @@ def check_cancellation(xi, u: SpectralField, w: GevreyWeight, r: float) -> float
     """Relative residual of the corrector/quadratic-variation cancellation.
 
     |<A^r e (xi.grad)(xi.grad)u, A^r e u> + ||A^r e (xi.grad)u||^2| divided by
-    ||A^r e u||^2. Exact (to rounding) for constant xi; measured, not
-    asserted, for experimental spectral-field xi.
+    ||A^r e u||^2. Exact (to rounding) for constant xi.
     """
     pure = GevreyWeight(s=w.s, r=0.0, phi=w.phi, exp_guard=w.exp_guard)
     t1 = nonlinear.transport(xi, nonlinear.transport(xi, u))

@@ -55,18 +55,9 @@ class WaveLattice:
         return np.rint(self.abs_k).astype(np.int64)
 
     @property
-    def max_kappa(self) -> int:
-        return int(self.kappa[self.ksq > 0].max())
-
-    @property
     def dealias_limit(self) -> int:
         """Largest per-axis component kept by the dealias mask."""
         return (self.grid_n - 1) // 3
-
-    @property
-    def shells(self) -> dict[int, np.ndarray]:
-        """Map kappa -> flat indices of nonzero modes with round(|k|) = kappa."""
-        return _shell_index(self)
 
     def ball_mask(self, cutoff: int) -> np.ndarray:
         """Active modes with |k| <= cutoff (the Galerkin ball)."""
@@ -156,14 +147,3 @@ def galerkin_grid(cutoff: int) -> int:
     while next_fast_len(grid) != grid:
         grid += 2
     return grid
-
-
-def _shell_index(lat: WaveLattice) -> dict[int, np.ndarray]:
-    kappa = lat.kappa.ravel()
-    nonzero = lat.ksq.ravel() > 0
-    shells: dict[int, np.ndarray] = {}
-    for kap in range(1, int(kappa[nonzero].max()) + 1):
-        idx = np.flatnonzero(nonzero & (kappa == kap))
-        if idx.size:
-            shells[kap] = idx
-    return shells

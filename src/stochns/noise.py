@@ -1,14 +1,15 @@
 """Admissible noise families and executable validators for their assumptions.
 
 Two families drive the system: body forces g_k (zero, additive, or linear
-multiplicative) and transport coefficients xi_k (constant vectors, or
-spectral fields marked experimental). Each family owns a disjoint set of
+multiplicative) and transport coefficients xi_k, which are constant vectors
+only: they act as the diagonal multiplier i (xi . k), which commutes with the
+Stokes and Gevrey multipliers. Each family owns a disjoint set of
 Wiener indices, which realizes the orthogonality constraint between the two
 noises by construction: at every index one factor of the cross inner product
 vanishes identically.
 
-Constant xi_k are not elements of the mean-free spaces; they act as the
-multiplier i (xi . k) and their summability bound uses |xi_k| by convention.
+Constant xi_k are not elements of the mean-free spaces; their summability
+bound uses |xi_k| by convention.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .lattice import WaveLattice
 ZERO = "zero"
 ADDITIVE = "additive"
 LINEAR = "linear"
-CONSTANT = "constant"
-SPECTRAL = "spectral"
 
 
 @dataclass(frozen=True)
@@ -81,37 +80,27 @@ class MultiplicativeNoise:
 
 @dataclass(frozen=True)
 class TransportNoise:
-    """Advection family xi_k: constant vectors or spectral fields (experimental)."""
+    """Advection family xi_k: one constant vector per Wiener index."""
 
-    variant: str
     vectors: tuple = ()
-    fields: tuple = ()
     index_set: tuple = ()
 
     def __post_init__(self):
-        if self.variant not in (CONSTANT, SPECTRAL):
-            raise ValueError(f"unknown transport variant {self.variant!r}")
-        count = len(self.vectors) if self.variant == CONSTANT else len(self.fields)
-        if count != len(self.index_set):
-            raise ValueError("transport noise needs one coefficient per Wiener index")
+        if len(self.vectors) != len(self.index_set):
+            raise ValueError("transport noise needs one vector per Wiener index")
         if len(set(self.index_set)) != len(self.index_set):
             raise ValueError("duplicate Wiener indices in xi family")
-        if self.variant == SPECTRAL:
-            for f in self.fields:
-                if not f.solenoidal:
-                    raise ValueError("spectral transport coefficients must be solenoidal")
 
     @classmethod
     def empty(cls) -> "TransportNoise":
-        return cls(variant=CONSTANT)
+        return cls()
 
     @classmethod
     def constant(cls, vectors, index_set) -> "TransportNoise":
         vecs = tuple(np.asarray(v, dtype=np.float64) for v in vectors)
         for v in vecs:
             v.flags.writeable = False
-        return cls(variant=CONSTANT, vectors=vecs,
-                   index_set=tuple(int(i) for i in index_set))
+        return cls(vectors=vecs, index_set=tuple(int(i) for i in index_set))
 
     @classmethod
     def default_family(cls, dim: int, amplitude: float, count: int,
@@ -124,28 +113,9 @@ class TransportNoise:
             vectors.append(vec)
         return cls.constant(vectors, index_set)
 
-    def coefficient(self, position: int):
-        if self.variant == CONSTANT:
-            return self.vectors[position]
-        return self.fields[position]
-
-    @property
-    def coefficients(self) -> tuple:
-        return self.vectors if self.variant == CONSTANT else self.fields
-
-    @property
-    def experimental(self) -> bool:
-        return self.variant == SPECTRAL
-
-    def bound_k(self, w: GevreyWeight | None = None, r: float = 0.0) -> float:
-        """Summability constant: sum |xi_k| (constant case) or sum of weighted norms."""
-        if self.variant == CONSTANT:
-            return float(sum(np.linalg.norm(v) for v in self.vectors))
-        total = 0.0
-        for f in self.fields:
-            g = f if w is None or w.phi == 0.0 else gevrey_apply(f, dataclasses.replace(w, r=0.0))
-            total += sobolev_norm(g, r)
-        return total
+    def bound_k(self) -> float:
+        """Summability constant sum |xi_k|."""
+        return float(sum(np.linalg.norm(v) for v in self.vectors))
 
 
 @dataclass(frozen=True)
@@ -205,8 +175,8 @@ def solenoidal_mode_field(lattice: WaveLattice, kvec, amplitude: float) -> Spect
     return f.with_coeffs(f.coeffs * (amplitude / norm), solenoidal=True)
 
 
-def eval_g(system: NoiseSystem, k_index: int, t: float, u: SpectralField) -> SpectralField:
-    """g_k(t, u): zero field off the g index set; t is threaded for future use."""
+def eval_g(system: NoiseSystem, k_index: int, u: SpectralField) -> SpectralField:
+    """g_k(u): zero field off the g index set."""
     pos = system.g_position(k_index)
     if pos is None or system.g.variant == ZERO:
         return zero_field(u.lattice)
@@ -253,7 +223,7 @@ def validate_growth_lipschitz(system: NoiseSystem, lattice: WaveLattice,
                for _ in range(n_samples)]
     c_growth = 0.0
     for v in samples:
-        total = sum(weighted(eval_g(system, k, 0.0, v)) for k in system.g.index_set)
+        total = sum(weighted(eval_g(system, k, v)) for k in system.g.index_set)
         c_growth = max(c_growth, total / (1.0 + weighted(v)))
     c_lip = 0.0
     for v, vw in zip(samples[:-1], samples[1:]):
@@ -261,28 +231,17 @@ def validate_growth_lipschitz(system: NoiseSystem, lattice: WaveLattice,
         if diff == 0.0:
             continue
         total = sum(
-            weighted(eval_g(system, k, 0.0, v) - eval_g(system, k, 0.0, vw))
+            weighted(eval_g(system, k, v) - eval_g(system, k, vw))
             for k in system.g.index_set)
         c_lip = max(c_lip, total / diff)
     return GrowthLipschitzReport(c_growth=c_growth, c_lipschitz=c_lip, n_samples=n_samples)
 
 
-def validate_xi_bound(system: NoiseSystem, w: GevreyWeight, r: float = 4.5) -> float:
-    """Summability constant of the transport family at weight (w, r).
-
-    Constant vectors carry only their Euclidean magnitude (the multiplier
-    convention), so the reported bound is r-independent for them.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    return system.xi.bound_k(w, r)
-
-
 def validate_commutativity(xi, u: SpectralField, w: GevreyWeight, r: float) -> float:
     """Residual || A^r e ((xi.grad) u) - (xi.grad) A^r e u ||_{L^2}.
 
-    Exactly zero (to rounding) for constant xi since diagonal multipliers
-    commute; for spectral-field xi the residual is measured, not asserted.
+    Exactly zero (to rounding) since constant xi acts as a diagonal
+    multiplier, and diagonal multipliers commute.
     """
     pure = dataclasses.replace(w, r=0.0)
     lhs = stokes_power(gevrey_apply(nonlinear.transport(xi, u), pure), r)
@@ -319,9 +278,8 @@ def validate_orthogonality(system: NoiseSystem, lattice: WaveLattice,
         v = nonlinear.dealias(random_field(lattice, rng, envelope=lambda k: np.exp(-0.5 * k)))
         ww = nonlinear.dealias(random_field(lattice, rng, envelope=lambda k: np.exp(-0.5 * k)))
         for k in overlap:
-            gk = eval_g(system, k, 0.0, v)
-            xik = system.xi.coefficient(system.xi_position(k))
-            tk = nonlinear.transport(xik, ww)
+            gk = eval_g(system, k, v)
+            tk = nonlinear.transport(system.xi.vectors[system.xi_position(k)], ww)
             worst = max(worst, abs(weighted_inner(gk, tk, r=w.r, w=dataclasses.replace(w, r=0.0))))
     return OrthogonalityReport(structural=False, overlap=overlap, worst_inner=worst)
 
@@ -347,22 +305,20 @@ def validate_system(system: NoiseSystem, lattice: WaveLattice, w: GevreyWeight,
     """Run every structural validator; gate the integrator on the result.
 
     Returns the system marked validated (when all checks pass) together with
-    the report. Experimental spectral-field transport coefficients report
-    their commutativity residual informationally and do not fail the gate.
+    the report.
     """
     ortho = validate_orthogonality(system, lattice, w)
     gl = validate_growth_lipschitz(system, lattice, w, n_samples=max(2, n_samples), seed=seed)
-    bound = validate_xi_bound(system, w)
+    bound = system.xi.bound_k()
     rng = np.random.default_rng(seed + 1)
     probe = nonlinear.dealias(random_field(lattice, rng, envelope=lambda k: np.exp(-0.5 * k)))
     residuals = []
     commut_ok = True
     scale = max(sobolev_norm(probe, w.r), 1.0)
-    for pos in range(len(system.xi.index_set)):
-        xi = system.xi.coefficient(pos)
+    for xi in system.xi.vectors:
         res = validate_commutativity(xi, probe, w, r=w.r)
         residuals.append(res)
-        if not isinstance(xi, SpectralField) and res > commutativity_tol * scale:
+        if res > commutativity_tol * scale:
             commut_ok = False
     if system.g.variant == ADDITIVE:
         for sig in system.g.sigmas:

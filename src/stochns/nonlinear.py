@@ -2,8 +2,9 @@
 
 Products are formed in physical space on the native grid and truncated with
 the lattice's 2/3-rule mask, which is exact for quadratic products of masked
-inputs. Constant transport coefficients never touch physical space: they act
-as the exact diagonal multiplier i (xi . k).
+inputs. Transport coefficients are constant vectors xi_k only: they never
+touch physical space and act as the exact diagonal multiplier i (xi . k),
+which commutes with the Stokes and Gevrey multipliers.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .fields import (SpectralField, _leray_raw, leray_project,
-                     require_same_lattice, zero_field)
+from .fields import SpectralField, _leray_raw, require_same_lattice
 from .lattice import WaveLattice
 
 _local = threading.local()
@@ -81,14 +81,6 @@ def dealias(f: SpectralField) -> SpectralField:
     return f.with_coeffs(np.where(f.lattice.dealias_mask, f.coeffs, 0.0))
 
 
-def gradient_physical(f: SpectralField, component: int) -> np.ndarray:
-    """Physical-space gradient of one velocity component, shape (dim, n, ...)."""
-    lat = f.lattice
-    dhat = 1j * lat.k * f.coeffs[component]
-    return np.ascontiguousarray(
-        (_fft.ifftn(dhat, axes=_spatial_axes(lat)) * lat.n_modes).real)
-
-
 def convect(u: SpectralField, v: SpectralField) -> SpectralField:
     """Leray-projected advection P((u . grad) v), dealiased.
 
@@ -115,56 +107,39 @@ def convect(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(lat, _leray_raw(lat, out_hat), solenoidal=True)
 
 
-def transport(xi, u: SpectralField) -> SpectralField:
-    """(xi . grad) u for a constant vector or spectral-field coefficient.
+def transport_multipliers(lattice: WaveLattice, xis) -> tuple[list[np.ndarray], np.ndarray]:
+    """Phases (xi_k . k) per constant vector and the Ito corrector multiplier.
 
-    Constant xi: exact diagonal multiplier i (xi . k), no transform, and the
-    result stays solenoidal when u is. Non-constant xi (experimental): the
-    dealiased pseudospectral product sum_j xi_j d_j u, not Leray-projected.
+    The corrector is the real nonpositive array -1/2 sum_k (xi_k . k)^2; an
+    empty family gives no phases and a zero corrector.
     """
-    if isinstance(xi, SpectralField):
-        require_same_lattice(xi, u)
-        lat = u.lattice
-        xi_phys = to_physical(xi)
-        out_hat = np.empty_like(u.coeffs)
-        for m in range(lat.dim):
-            grad_um = gradient_physical(u, m)
-            out_hat[m] = from_physical(lat, np.einsum("j...,j...->...", xi_phys, grad_um))
-        out_hat = np.where(lat.dealias_mask, out_hat, 0.0)
-        return SpectralField(lat, out_hat)
-    vec = np.asarray(xi, dtype=np.float64)
+    kf = lattice.k.astype(np.float64)
+    phases = []
+    corrector = np.zeros(lattice.shape)
+    for xi in xis:
+        vec = np.asarray(xi, dtype=np.float64)
+        if vec.shape != (lattice.dim,):
+            raise ValueError(f"constant xi must have shape ({lattice.dim},)")
+        phase = np.einsum("j,j...->...", vec, kf)
+        phases.append(phase)
+        corrector -= 0.5 * phase ** 2
+    return phases, corrector
+
+
+def transport(xi, u: SpectralField) -> SpectralField:
+    """(xi . grad) u for a constant vector xi: the exact diagonal multiplier
+    i (xi . k), no transform; the result stays solenoidal when u is."""
     lat = u.lattice
-    if vec.shape != (lat.dim,):
-        raise ValueError(f"constant xi must have shape ({lat.dim},)")
-    phase = 1j * np.einsum("j,j...->...", vec, lat.k.astype(np.float64))
-    out = np.where(lat.active, u.coeffs * phase, 0.0)
-    return u.with_coeffs(out)
+    (phase,), _ = transport_multipliers(lat, [xi])
+    return u.with_coeffs(np.where(lat.active, u.coeffs * (1j * phase), 0.0))
 
 
-def ito_corrector(xis, u: SpectralField, k_max: int | None = None) -> SpectralField:
+def ito_corrector(xis, u: SpectralField) -> SpectralField:
     """Stratonovich-to-Ito drift 1/2 sum_k (xi_k . grad)(xi_k . grad) u.
 
     For constant coefficients this is the real nonpositive multiplier
-    -1/2 sum_k (xi_k . k)^2 (dissipative). Mixed or spectral-field
-    coefficients fall back to nested transport with dealiasing and a final
-    Leray projection. An empty family returns the zero field.
+    -1/2 sum_k (xi_k . k)^2 (dissipative); an empty family gives zero.
     """
-    xis = list(xis)
-    if k_max is not None:
-        xis = xis[:k_max]
-    if not xis:
-        return zero_field(u.lattice)
     lat = u.lattice
-    constants = [x for x in xis if not isinstance(x, SpectralField)]
-    if len(constants) == len(xis):
-        kf = lat.k.astype(np.float64)
-        mult = np.zeros(lat.shape, dtype=np.float64)
-        for vec in constants:
-            vec = np.asarray(vec, dtype=np.float64)
-            mult -= 0.5 * np.einsum("j,j...->...", vec, kf) ** 2
-        out = np.where(lat.active, u.coeffs * mult, 0.0)
-        return u.with_coeffs(out)
-    acc = zero_field(lat)
-    for xi in xis:
-        acc = acc + transport(xi, transport(xi, u))
-    return leray_project(acc.with_coeffs(0.5 * acc.coeffs))
+    _, mult = transport_multipliers(lat, xis)
+    return u.with_coeffs(np.where(lat.active, u.coeffs * mult, 0.0))

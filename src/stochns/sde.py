@@ -7,7 +7,10 @@ explicit:
     u+ = exp(-nu A dt) [ u + dt (drift(u) + nu A u) + sum_k diffusion_k(u) dW_k ]
 
 with drift = -P^N P((u.grad)u) - nu A u + 1/2 sum_k P^N P((xi_k.grad)(xi_k.grad)u)
-and diffusion_k = P^N P[g_k(u) - (xi_k.grad)u]. Budgets (the Gevrey-H^1 sup
+and diffusion_k = P^N P[g_k(u) - (xi_k.grad)u]. The transport coefficients
+are constant vectors, so the corrector and the whole noise sum
+c (sum_k g_k dW_k - i sum_k dW_k (xi_k . k)) + sum_k dW_k sigma_hat_k are
+diagonal multiplies plus the additive fields. Budgets (the Gevrey-H^1 sup
 and the nu-weighted Gevrey-H^2 time integral) are accumulated with
 left-endpoint quadrature and the stopping monitors are evaluated at step
 boundaries; integration continues past a trigger, only the record is kept.
@@ -23,10 +26,9 @@ import numpy as np
 
 from .brownian import IncrementBlock, PathSpec, increments
 from .fields import (GevreyWeight, SpectralField, galerkin_project,
-                     leray_project, mode_weight, sobolev_norm_sq, transfer,
-                     zero_field)
+                     leray_project, mode_weight, sobolev_norm_sq, transfer)
 from .lattice import WaveLattice
-from .noise import CONSTANT, NoiseSystem
+from .noise import NoiseSystem
 from . import nonlinear
 
 
@@ -125,9 +127,7 @@ class Trajectory:
 def dt_stability_bound(cfg: StepperConfig, system: NoiseSystem, h1_norm: float) -> float:
     """Documented step-size rule: dt <= min(0.5/(N ||u||_H1), 0.1/noise_rate)."""
     adv = 0.5 / max(cfg.cutoff * max(h1_norm, 1e-30), 1e-30)
-    rate = 0.0
-    if system.xi.variant == CONSTANT:
-        rate += sum((np.linalg.norm(v) * cfg.cutoff) ** 2 for v in system.xi.vectors)
+    rate = float(sum((np.linalg.norm(v) * cfg.cutoff) ** 2 for v in system.xi.vectors))
     if system.g.variant == "linear":
         rate += sum(c * c for c in system.g.coefficients)
     noise = 0.1 / rate if rate > 0 else float("inf")
@@ -166,26 +166,9 @@ class _Stepper:
         if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
             raise ValueError("phi_cap too large for this lattice/cutoff (Gevrey guard)")
 
-        # transport multipliers i(xi.k) per family position; None marks spectral xi
-        kf = lattice.k.astype(np.float64)
-        self.xi_mult: list[np.ndarray | None] = []
-        self.xi_phase: list[np.ndarray | None] = []   # the real array (xi.k)
-        corrector = np.zeros(lattice.shape)
-        self.spectral_xis = []
-        for pos in range(len(system.xi.index_set)):
-            coef = system.xi.coefficient(pos)
-            if isinstance(coef, SpectralField):
-                if coef.lattice != lattice:
-                    raise ValueError("spectral transport coefficient lives on another lattice")
-                self.xi_mult.append(None)
-                self.xi_phase.append(None)
-                self.spectral_xis.append(coef)
-            else:
-                phase = np.einsum("j,j...->...", np.asarray(coef, dtype=np.float64), kf)
-                self.xi_mult.append(1j * phase)
-                self.xi_phase.append(phase)
-                corrector -= 0.5 * phase ** 2
-        self.corrector_mult = corrector if not self.spectral_xis else None
+        # the real phases (xi_k.k) per family position and the Ito corrector
+        self.xi_phase, self.corrector_mult = nonlinear.transport_multipliers(
+            lattice, system.xi.vectors)
 
         # additive sigma fields arrive pre-projected onto the ball, carried
         # over from the lattice they were built on
@@ -206,60 +189,23 @@ class _Stepper:
             conv = nonlinear.convect(SpectralField(lat, c, solenoidal=True),
                                      SpectralField(lat, c, solenoidal=True))
             out -= np.where(self.ball, conv.coeffs, 0.0)
-        if self.corrector_mult is not None:
-            out += np.where(self.ball, c * self.corrector_mult, 0.0)
-        elif self.system.xi.index_set:
-            corr = nonlinear.ito_corrector(
-                [self.system.xi.coefficient(p) for p in range(len(self.system.xi.index_set))],
-                SpectralField(lat, c, solenoidal=True))
-            out += np.where(self.ball, corr.coeffs, 0.0)
+        out += np.where(self.ball, c * self.corrector_mult, 0.0)
         return out
 
     def drift(self, c: np.ndarray) -> np.ndarray:
         return self.explicit_drift(c) - self.cfg.nu * self.visc * c
 
-    def diffusion_term(self, k_index: int, c: np.ndarray) -> np.ndarray | None:
-        """P^N P[g_k(u) - (xi_k.grad)u]; None when index k drives nothing."""
-        sys_ = self.system
-        term = None
-        gpos = sys_.g_position(k_index)
-        if gpos is not None:
-            if sys_.g.variant == "linear":
-                term = sys_.g.coefficients[gpos] * c
-            elif sys_.g.variant == "additive":
-                term = self.additive_hat[gpos].copy()
-        xpos = sys_.xi_position(k_index)
-        if xpos is not None:
-            mult = self.xi_mult[xpos]
-            if mult is not None:
-                tr = c * mult
-            else:
-                lat = self.lattice
-                tr = leray_project(nonlinear.transport(
-                    sys_.xi.coefficient(xpos), SpectralField(lat, c, solenoidal=True))).coeffs
-            term = -tr if term is None else term - tr
-        if term is None:
-            return None
-        return np.where(self.ball, term, 0.0)
-
     def noise_sum(self, c: np.ndarray, dw_row: np.ndarray) -> np.ndarray:
-        """sum_k diffusion_k(u) dW_k, fused into one diagonal multiply where possible."""
+        """sum_k diffusion_k(u) dW_k: one diagonal multiply plus the additive fields."""
         sys_ = self.system
         lin = 0.0
         diag_im = None
         acc = None
-        for pos, k_index in enumerate(sys_.xi.index_set):
+        for phase, k_index in zip(self.xi_phase, sys_.xi.index_set):
             dw = float(dw_row[k_index])
             if dw == 0.0:
                 continue
-            phase = self.xi_phase[pos]
-            if phase is None:
-                tr = leray_project(nonlinear.transport(
-                    sys_.xi.coefficient(pos),
-                    SpectralField(self.lattice, c, solenoidal=True))).coeffs
-                contrib = (-dw) * np.where(self.ball, tr, 0.0)
-                acc = contrib if acc is None else acc + contrib
-            elif diag_im is None:
+            if diag_im is None:
                 diag_im = (-dw) * phase
             else:
                 diag_im -= dw * phase
@@ -360,17 +306,12 @@ def drift(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> Spectral
 
 
 def diffusion(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> list[SpectralField]:
-    """One diffusion field per Wiener index: P^N P[g_k(u) - (xi_k.grad)u]."""
+    """One diffusion field per Wiener index: P^N P[g_k(u) - (xi_k.grad)u],
+    the stepper's noise sum for the unit increment row e_k."""
     stepper = _Stepper(cfg, system, u.lattice)
     c = np.where(stepper.ball, u.coeffs, 0.0)
-    out = []
-    for k_index in range(system.n_wiener):
-        term = stepper.diffusion_term(k_index, c)
-        if term is None:
-            out.append(zero_field(u.lattice))
-        else:
-            out.append(SpectralField(u.lattice, term, solenoidal=True))
-    return out
+    return [SpectralField(u.lattice, stepper.noise_sum(c, e_k), solenoidal=True)
+            for e_k in np.eye(system.n_wiener)]
 
 
 def initial_state(u0: SpectralField, cfg: StepperConfig, t0: float = 0.0) -> SimState:
@@ -490,29 +431,31 @@ def linear_exact(u0: SpectralField, xi, nu: float, w_value: float,
     decays like the heat semigroup on every path.
     """
     lat = u0.lattice
-    vec = np.asarray(xi, dtype=np.float64)
-    theta = np.einsum("j,j...->...", vec, lat.k.astype(np.float64))
+    (theta,), _ = nonlinear.transport_multipliers(lat, [xi])
     factor = np.exp(-nu * lat.ksq.astype(np.float64) * t - 1j * theta * w_value)
     return u0.with_coeffs(np.where(lat.active, u0.coeffs * factor, 0.0))
+
+
+def tau_r_reached(h2_int_n: float, h2_int_ref: float, r_threshold: float) -> bool:
+    """The paired stopping rule: the H^2 integrals of u_N and u_ref reach R."""
+    return h2_int_n + h2_int_ref >= r_threshold
 
 
 def monitor_tau_R(traj_n: Trajectory, traj_ref: Trajectory, r_threshold: float) -> float:
     """First time the paired H^2 integral reaches R, else the common horizon.
 
     Both trajectories must share the time grid (and, for the coupling to mean
-    anything, the Brownian path). Left-endpoint quadrature, stop resolved to
-    step boundaries; doubling R never decreases the result.
+    anything, the Brownian path). Reads the `h2_int` series that `_advance`
+    accumulates (left-endpoint quadrature), so the stop is resolved to step
+    boundaries; doubling R never decreases the result.
     """
     t_n, t_ref = traj_n.times, traj_ref.times
     if t_n.shape != t_ref.shape or not np.allclose(t_n, t_ref, rtol=0, atol=1e-12):
         raise ValueError("trajectories do not share a time grid")
     if r_threshold < 0:
         raise ValueError("R must be >= 0")
-    dt = traj_n.cfg.dt
-    integrand = traj_n.series["h2_sq"] + traj_ref.series["h2_sq"]
-    acc = 0.0
-    for j in range(len(t_n) - 1):
-        acc += dt * integrand[j]
-        if acc >= r_threshold:
-            return float(t_n[j + 1])
+    for t, h2_n, h2_ref in zip(t_n[1:], traj_n.series["h2_int"][1:],
+                               traj_ref.series["h2_int"][1:]):
+        if tau_r_reached(h2_n, h2_ref, r_threshold):
+            return float(t)
     return float(t_n[-1])

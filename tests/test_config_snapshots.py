@@ -32,7 +32,8 @@ def test_unknown_keys_rejected():
     ({"physics": {"t_end": 0.0505}}, "multiple"),
     ({"monitors": {"budget_m": 0.5}}, "exceed 1"),
     ({"noise": {"multiplicative": {"variant": "weird"}}}, "variant"),
-], ids=["odd-grid", "nref", "headroom", "dt-grid", "budget-m", "variant"])
+    ({"noise": {"transport": {"variant": "spectral"}}}, "transport.variant must be 'constant'"),
+], ids=["odd-grid", "nref", "headroom", "dt-grid", "budget-m", "variant", "transport-variant"])
 def test_validation_errors(overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         ExperimentConfig.default(**overrides)

@@ -7,8 +7,7 @@ from stochns.lattice import build_lattice
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            eval_g, solenoidal_mode_field,
                            validate_commutativity, validate_growth_lipschitz,
-                           validate_orthogonality, validate_system,
-                           validate_xi_bound)
+                           validate_orthogonality, validate_system)
 
 W1 = GevreyWeight(s=1.0, r=1.0, phi=0.0)
 
@@ -16,7 +15,7 @@ W1 = GevreyWeight(s=1.0, r=1.0, phi=0.0)
 def test_eval_g_zero_variant(lat16):
     system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=TransportNoise.empty(), n_wiener=0)
     u = smooth_field(lat16)
-    out = eval_g(system, 0, 0.0, u)
+    out = eval_g(system, 0, u)
     assert np.abs(out.coeffs).max() == 0.0
 
 
@@ -24,18 +23,18 @@ def test_eval_g_linear_scaling(lat16):
     g = MultiplicativeNoise.linear([0.5], [0])
     system = NoiseSystem(g=g, xi=TransportNoise.empty(), n_wiener=1)
     u = smooth_field(lat16)
-    out = eval_g(system, 0, 0.0, u)
+    out = eval_g(system, 0, u)
     np.testing.assert_allclose(out.coeffs, 0.5 * u.coeffs)
     # off the index set: zero field
-    assert np.abs(eval_g(system, 3, 0.0, u).coeffs).max() == 0.0
+    assert np.abs(eval_g(system, 3, u).coeffs).max() == 0.0
 
 
 def test_eval_g_additive_is_u_independent(lat16):
     sigma = solenoidal_mode_field(lat16, (1, 0), 0.4)
     system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
                          xi=TransportNoise.empty(), n_wiener=1)
-    a = eval_g(system, 0, 0.0, smooth_field(lat16, seed=1))
-    b = eval_g(system, 0, 0.0, smooth_field(lat16, seed=2))
+    a = eval_g(system, 0, smooth_field(lat16, seed=1))
+    b = eval_g(system, 0, smooth_field(lat16, seed=2))
     assert np.array_equal(a.coeffs, b.coeffs)
     assert abs(sobolev_norm(sigma, 0.0) - 0.4) <= 1e-12
 
@@ -65,15 +64,15 @@ def test_growth_lipschitz_additive(lat16):
 
 def test_xi_bound_conventions(lat16):
     single = TransportNoise.constant([np.array([1.0, 0.0])], [0])
-    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=single, n_wiener=1)
-    assert abs(validate_xi_bound(system, W1) - 1.0) <= 1e-14
+    assert abs(single.bound_k() - 1.0) <= 1e-14
 
     fam = TransportNoise.default_family(2, amplitude=3.0, count=4, index_set=[0, 1, 2, 3])
-    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=fam, n_wiener=4)
-    assert abs(validate_xi_bound(system, W1) - 3.0 * 15 / 16) <= 1e-12
+    assert abs(fam.bound_k() - 3.0 * 15 / 16) <= 1e-12
 
-    empty = NoiseSystem(g=MultiplicativeNoise.zero(), xi=TransportNoise.empty(), n_wiener=0)
-    assert validate_xi_bound(empty, W1) == 0.0
+    assert TransportNoise.empty().bound_k() == 0.0
+    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=fam, n_wiener=4)
+    _, report = validate_system(system, lat16, W1)
+    assert report.xi_bound == fam.bound_k()
 
 
 def test_default_family_alternates_axes():
@@ -95,13 +94,6 @@ def test_commutativity_constant_xi_grid_independent(grid):
 def test_commutativity_zero_xi(lat16):
     u = smooth_field(lat16, seed=4)
     assert validate_commutativity(np.zeros(2), u, W1, r=1.0) == 0.0
-
-
-def test_commutativity_spectral_xi_reported_not_asserted(lat16):
-    xi = smooth_field(lat16, seed=5)
-    u = smooth_field(lat16, seed=6)
-    res = validate_commutativity(xi, u, W1, r=1.0)
-    assert np.isfinite(res) and res > 0.0
 
 
 def test_orthogonality_disjoint_structural(lat16):

@@ -6,14 +6,14 @@ import pytest
 from conftest import smooth_field, transport_system
 from stochns import studies
 from stochns.brownian import PathSpec, increments
-from stochns.config import ExperimentConfig
+from stochns.config import ExperimentConfig, default_decay_config
 from stochns.fields import (GevreyWeight, SpectralField, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer,
                             validate_physical, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
-from stochns.sde import (NonFiniteError, StepperConfig, diffusion, drift,
+from stochns.sde import (NonFiniteError, StepperConfig, _Stepper, diffusion, drift,
                          dt_stability_bound, initial_state, integrate,
                          linear_exact, monitor_tau_R, step)
 from test_nonlinear import shear_field
@@ -88,20 +88,40 @@ def test_additive_sigma_carried_onto_stepper_lattice(lat16, lat32):
     np.testing.assert_allclose(outs[0].coeffs, expected, atol=1e-15)
 
 
-def test_spectral_xi_on_other_lattice_rejected(lat16, lat32):
-    xi = TransportNoise(variant="spectral", fields=(smooth_field(lat32, seed=3),),
-                        index_set=(0,))
-    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=xi, n_wiener=1)
-    with pytest.raises(ValueError, match="another lattice"):
-        drift(smooth_field(lat16, seed=4), make_cfg(cutoff=4), system)
-
-
 def test_diffusion_transport_multiplier(lat32, xi_system):
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
     outs = diffusion(u, make_cfg(), xi_system)
     # entry k: -i (xi.k) u_hat = -1.6j u_hat at k=(2,0), xi=(0.8,0)
     np.testing.assert_allclose(outs[0].coeffs[:, 2, 0], -1.6j * u.coeffs[:, 2, 0],
                                rtol=1e-14)
+
+
+def _additive_xi_system(lat):
+    sigmas = [solenoidal_mode_field(lat, (1, 0), 0.3), solenoidal_mode_field(lat, (1, 2), 0.2)]
+    system = NoiseSystem(g=MultiplicativeNoise.additive(sigmas, [0, 1]),
+                         xi=TransportNoise.constant([np.array([0.6, 0.0]),
+                                                     np.array([-0.3, 0.5])], [2, 3]),
+                         n_wiener=4)
+    system, report = validate_system(system, lat, GevreyWeight(s=1, r=1, phi=0.0))
+    assert system.validated, report.summary()
+    return system
+
+
+@pytest.mark.parametrize("g_kind", ["linear", "additive"])
+def test_diffusion_sums_to_the_stepper_noise_sum(lat32, g_kind):
+    if g_kind == "linear":
+        system = transport_system(lat32, [np.array([0.8, 0.1]), np.array([-0.3, 0.5])],
+                                  g_coeffs=[0.2, -0.1])
+    else:
+        system = _additive_xi_system(lat32)
+    cfg = make_cfg()
+    u = smooth_field(lat32, seed=21)
+    dw = 0.03 * np.random.default_rng(5).standard_normal(system.n_wiener)
+    stepper = _Stepper(cfg, system, lat32)
+    expected = stepper.noise_sum(np.where(stepper.ball, u.coeffs, 0.0), dw)
+    total = sum(dw[k] * f.coeffs for k, f in enumerate(diffusion(u, cfg, system)))
+    assert np.abs(expected).max() > 0.0
+    assert np.abs(total - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +338,36 @@ def test_monitor_tau_r_grid_mismatch(lat32, xi_system):
     tb = integrate(cfg_b, xi_system, PathSpec(6, 0, 1), u0)
     with pytest.raises(ValueError, match="time grid"):
         monitor_tau_R(ta, tb, 1.0)
+
+
+def test_monitor_tau_r_is_decay_study_rule():
+    # one tau_R rule: the paired monitor on integrate trajectories stops at
+    # exactly the times decay_study records for every cutoff
+    config = default_decay_config(**{
+        "lattice": {"grid_n": 50}, "physics": {"t_end": 0.05, "dt": 0.005},
+        "galerkin": {"cutoffs": [4, 6, 8], "n_ref": 16}, "ensemble": {"n_paths": 1}})
+    lattice, system, u0, _ = studies.prepare(config)
+    path = config.path_spec(0, system.n_wiener)
+
+    def run(n, lat):
+        return integrate(config.stepper_config(n), system, path, transfer(u0, lat),
+                         store_every=10 ** 9, check_stability=False)
+
+    ref = run(16, lattice)
+    trajs = {n: run(n, config.cutoff_lattice(n)) for n in (4, 6, 8)}
+    # R equal to the smallest cutoff's paired integral at a mid-run step: the
+    # rule (>=) fires exactly there
+    mid = len(ref.times) // 2
+    r_mid = float(trajs[4].series["h2_int"][mid] + ref.series["h2_int"][mid])
+    for r_threshold in (r_mid, 1e12):
+        outcome = studies.decay_study(
+            config.with_overrides({"monitors": {"h2_r": r_threshold}})).outcomes[0]
+        for n, traj in trajs.items():
+            assert monitor_tau_R(traj, ref, r_threshold) == outcome.stop_times[n]
+        if r_threshold == r_mid:
+            assert outcome.stop_times[4] == ref.times[mid]
+        else:
+            assert all(t == pytest.approx(0.05) for t in outcome.stop_times.values())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
