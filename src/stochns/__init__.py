@@ -25,8 +25,7 @@ from .lattice import WaveLattice, build_lattice, get_lattice
 from .noise import (MultiplicativeNoise, NoiseSystem, TransportNoise, eval_g,
                     validate_commutativity, validate_growth_lipschitz,
                     validate_orthogonality, validate_system)
-from .nonlinear import (TransformWorkspace, convect, dealias, ito_corrector,
-                        transport)
+from .nonlinear import convect, dealias, ito_corrector, transport
 from .sde import (NonFiniteError, SimState, StepperConfig, StopRecord,
                   Trajectory, diffusion, drift, initial_state, integrate,
                   linear_exact, monitor_tau_R, step)

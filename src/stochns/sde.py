@@ -186,8 +186,8 @@ class _Stepper:
         lat = self.lattice
         out = np.zeros_like(c)
         if self.cfg.convection and np.any(c):
-            conv = nonlinear.convect(SpectralField(lat, c, solenoidal=True),
-                                     SpectralField(lat, c, solenoidal=True))
+            u = SpectralField(lat, c, solenoidal=True)
+            conv = nonlinear.convect(u, u)
             out -= np.where(self.ball, conv.coeffs, 0.0)
         out += np.where(self.ball, c * self.corrector_mult, 0.0)
         return out

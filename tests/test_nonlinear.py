@@ -94,6 +94,51 @@ def test_convect_output_clean(lat32):
     assert np.abs(out.coeffs[:, ~lat32.dealias_mask]).max() == 0.0
 
 
+def advective_reference(u, v):
+    """P((u . grad) v) in advective form with complex transforms, dealiased."""
+    lat = u.lattice
+    axes = tuple(range(-lat.dim, 0))
+    u_phys = np.fft.ifftn(u.coeffs, axes=axes).real
+    grad = np.fft.ifftn(1j * lat.k[None] * v.coeffs[:, None], axes=axes).real
+    out = np.fft.fftn(np.einsum("j...,mj...->m...", u_phys, grad), axes=axes)
+    out = np.where(lat.dealias_mask, out * lat.n_modes, 0.0)
+    ksq = np.where(lat.ksq > 0, lat.ksq, 1)
+    return out - lat.k * np.einsum("j...,j...->...", lat.k, out) / ksq
+
+
+@pytest.mark.parametrize("dim,grid", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("same", [True, False], ids=["u-is-v", "u-not-v"])
+def test_convect_matches_advective_form(dim, grid, same):
+    lat = build_lattice(dim, grid)
+    u = smooth_field(lat, seed=14, delta=0.3)
+    v = u if same else smooth_field(lat, seed=15, delta=0.3)
+    ref = advective_reference(u, v)
+    out = convect(u, v).coeffs
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,grid", [(2, 32), (3, 16)])
+def test_convect_symmetric_path_matches_general(dim, grid):
+    lat = build_lattice(dim, grid)
+    u = smooth_field(lat, seed=16, delta=0.3)
+    copy = SpectralField(lat, u.coeffs.copy(), solenoidal=True)
+    sym = convect(u, u).coeffs
+    general = convect(u, copy).coeffs
+    assert np.abs(sym - general).max() <= 1e-14 * np.abs(general).max()
+
+
+@pytest.mark.parametrize("dim,grid", [(2, 32), (3, 16)])
+def test_convect_output_hermitian_and_dealiased(dim, grid):
+    lat = build_lattice(dim, grid)
+    u = smooth_field(lat, seed=17, delta=0.3)
+    for v in (u, smooth_field(lat, seed=18, delta=0.3)):
+        out = convect(u, v).coeffs
+        mirrored = np.conj(lat.reflect(out))
+        off_plane = lat.k[-1] != 0
+        assert np.array_equal(mirrored[:, off_plane], out[:, off_plane])
+        assert np.all(out[:, ~lat.dealias_mask] == 0.0)
+
+
 def test_convect_lattice_mismatch(lat16, lat32):
     with pytest.raises(LatticeMismatchError):
         convect(smooth_field(lat16), smooth_field(lat32))

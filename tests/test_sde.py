@@ -404,9 +404,22 @@ def test_large_phi_cap_budget_stays_finite():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_observable_raises(lat32, off_system):
-    # finite coefficients whose squared modulus overflows
-    cfg = make_cfg(cutoff=4)
+    # finite coefficients whose squared modulus overflows; convection off, so
+    # the coefficients stay finite and only the observable guard can fire
+    cfg = make_cfg(cutoff=4, convection=False)
     u = single_mode_field(lat32, (1, 0), (0.0, 1e200))
     state = initial_state(u, cfg)
     with pytest.raises(NonFiniteError, match="non-finite l2_sq"):
+        step(state, cfg, off_system, np.zeros(0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_convection_raises(lat32, off_system):
+    # the same shear mode with convection on: (u.grad)u is zero, but the
+    # divergence-form products u_j u_m overflow, and the step must end with
+    # NonFiniteError rather than carry an inf
+    cfg = make_cfg(cutoff=4)
+    u = single_mode_field(lat32, (1, 0), (0.0, 1e200))
+    state = initial_state(u, cfg)
+    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
         step(state, cfg, off_system, np.zeros(0))
