@@ -157,10 +157,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
                                 "phi": traj.cfg.phi_at(traj.final.t),
                                 "seed": config["ensemble.master_seed"]}))
         if config["outputs.dump_increments"]:
-            n_w = config.build_noise_system(config.build_lattice()).n_wiener
-            block = increments(config.path_spec(i, n_w), 0.0,
-                               config["physics.dt"],
-                               round(config["physics.t_end"] / config["physics.dt"]))
+            block = increments(traj.path, 0.0, traj.cfg.dt, traj.cfg.n_steps)
             rec.add(save_increments(out_dir / f"increments_path{i:03d}", block))
     rec.extra["paths"] = stops
     rec.extra["nonfinite_paths"] = result.nonfinite_paths

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinear
-from .fields import (GevreyWeight, SpectralField, gevrey_apply, mode_weight,
+from .fields import (GevreyWeight, SpectralField, gevrey_apply, parseval_weight,
                      random_field, require_same_lattice, sobolev_norm,
                      transfer, weighted_inner, galerkin_complement,
                      galerkin_project)
@@ -64,7 +64,8 @@ def shell_spectrum(u: SpectralField, t: float = 0.0) -> ShellSpectrum:
     nonzero = lat.ksq.ravel() > 0
     kmax = int(kappa_all[nonzero].max())
     counts = np.bincount(kappa_all[nonzero], minlength=kmax + 1)
-    energy = np.bincount(kappa_all[nonzero], weights=mod_sq[nonzero], minlength=kmax + 1)
+    mode_energy = parseval_weight(lat, 0.0).ravel() * mod_sq
+    energy = np.bincount(kappa_all[nonzero], weights=mode_energy[nonzero], minlength=kmax + 1)
     peak = np.zeros(kmax + 1)
     np.maximum.at(peak, kappa_all[nonzero], mod_sq[nonzero])
     present = np.flatnonzero(counts[1:]) + 1
@@ -217,7 +218,8 @@ def check_convective_bounds(lattice: WaveLattice, n_samples: int,
             ratio_tri = max(ratio_tri, lhs / rhs)
 
         dot_hat = _pointwise_dot(u, v)
-        lhs_alg = _scalar_weighted_norm(lattice, dot_hat, r=0.5, w=pure)
+        lhs_alg = math.sqrt(float(np.sum(parseval_weight(lattice, 1.0, pure)
+                                         * np.abs(dot_hat) ** 2)))
         rhs_alg = (sobolev_norm(eu, 0.0) * sobolev_norm(ev, 1.0)
                    + sobolev_norm(eu, 1.0) * sobolev_norm(ev, 0.0))
         if rhs_alg > 0:
@@ -233,14 +235,6 @@ def _pointwise_dot(u: SpectralField, v: SpectralField) -> np.ndarray:
     prod = np.einsum("j...,j...->...", nonlinear.to_physical(u), nonlinear.to_physical(v))
     out = nonlinear.from_physical(lat, prod)
     return np.where(lat.dealias_mask, out, 0.0)
-
-
-def _scalar_weighted_norm(lattice: WaveLattice, coeffs: np.ndarray, r: float,
-                          w: GevreyWeight) -> float:
-    weight = mode_weight(lattice, 2.0 * r)
-    if w.phi > 0.0:
-        weight = weight * np.exp(2.0 * w.exponent(lattice.abs_k))
-    return math.sqrt(float(np.sum(weight * np.abs(coeffs) ** 2)))
 
 
 def ensemble_mean(values) -> tuple[float, float]:

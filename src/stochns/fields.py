@@ -1,17 +1,20 @@
 """Spectral vector fields on the torus lattice and the diagonal operator algebra.
 
-A SpectralField stores the complex Fourier coefficients u_hat of a mean-free
-vector field, one dim-vector per wavevector. Everything here is a Fourier
-multiplier (Leray projector, Galerkin truncation, fractional Stokes powers,
-Gevrey weights) or a Parseval sum, so all operations are pure and exact up to
-rounding. Coefficient arrays are frozen at construction; operations return
-new fields.
+A SpectralField stores the complex Fourier coefficients u_hat of a real
+mean-free vector field, one dim-vector per wavevector, on the lattice's
+Hermitian half spectrum. Everything here is a Fourier multiplier (Leray
+projector, Galerkin truncation, fractional Stokes powers, Gevrey weights) or
+a Parseval sum, so all operations are pure and exact up to rounding. The
+multipliers are even in k, so they act on the half alone; every Parseval sum
+takes its per-mode weight from `parseval_weight`, which counts each stored
+mode off the k_last = 0 plane twice. Coefficient arrays are frozen at
+construction; operations return new fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -50,22 +53,11 @@ class GevreyWeight:
         if self.r < 0 or self.phi < 0:
             raise ValueError("Sobolev corrector r and width phi must be >= 0")
 
-    def with_phi(self, phi: float) -> "GevreyWeight":
-        return replace(self, phi=phi)
-
     def exponent(self, abs_k: np.ndarray) -> np.ndarray:
         """phi * |k|^(1/s) per mode, unclamped."""
         if self.phi == 0.0:
             return np.zeros_like(abs_k)
         return self.phi * np.power(abs_k, 1.0 / self.s)
-
-    def multiplier(self, abs_k: np.ndarray) -> np.ndarray:
-        """|k|^r * exp(min(phi |k|^(1/s), exp_guard)) per mode."""
-        out = np.exp(np.minimum(self.exponent(abs_k), self.exp_guard))
-        if self.r != 0.0:
-            out = out * np.power(np.maximum(abs_k, 1e-300), self.r)
-            out = np.where(abs_k > 0, out, 0.0)
-        return out
 
     def max_exponent(self, lattice: WaveLattice) -> float:
         kmax = float(lattice.abs_k.max())
@@ -74,11 +66,14 @@ class GevreyWeight:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a mean-free vector field, shape (dim, n, ..., n).
+    """Fourier coefficients of a real mean-free vector field on the half
+    spectrum, shape (dim,) + lattice.shape = (dim, n, ..., n, n//2+1).
 
-    Invariants (enforced by the constructors here, checked by
-    validate_physical): Hermitian symmetry conj(u_hat[k]) == u_hat[-k],
-    u_hat[0] == 0, Nyquist rows zero; if solenoidal, k . u_hat[k] == 0.
+    Only modes with k_last >= 0 are stored; u_hat[-k] = conj(u_hat[k]) gives
+    the rest. Invariants (enforced by the constructors here, checked by
+    validate_physical): Hermitian symmetry on the k_last = 0 plane, where
+    both k and -k are stored, u_hat[0] == 0, Nyquist rows zero; if
+    solenoidal, k . u_hat[k] == 0.
     """
 
     lattice: WaveLattice
@@ -125,12 +120,6 @@ def require_same_lattice(f: SpectralField, g: SpectralField) -> None:
             f"({g.lattice.dim},{g.lattice.grid_n})")
 
 
-def hermitize(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
-    """Symmetrize so conj(u_hat[k]) == u_hat[-k]; zero inactive modes."""
-    sym = 0.5 * (coeffs + np.conj(lattice.reflect(coeffs)))
-    return np.where(lattice.active, sym, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # projectors and multipliers
 
@@ -151,7 +140,7 @@ def _leray_raw(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
     """Leray multiplier without the active-mask pass (inputs already masked).
 
     coeffs may hold only the leading columns of the last axis, such as the
-    Hermitian half of a spectrum.
+    dealiased columns of a product spectrum.
     """
     k, k_over_ksq, _ = _leray_arrays(lattice, coeffs.shape[-1])
     return coeffs - k_over_ksq * np.einsum("j...,j...->...", k, coeffs)
@@ -160,7 +149,7 @@ def _leray_raw(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
 def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
     lat = f.lattice
-    out = _leray_raw(lat, f.coeffs) * _leray_arrays(lat, lat.grid_n)[2]
+    out = _leray_raw(lat, f.coeffs) * _leray_arrays(lat, lat.shape[-1])[2]
     return f.with_coeffs(out, solenoidal=True)
 
 
@@ -177,7 +166,7 @@ def galerkin_complement(f: SpectralField, cutoff: int) -> SpectralField:
 
 
 def mode_weight(lattice: WaveLattice, r: float) -> np.ndarray:
-    """|k|^(2r) per mode (zero on inactive modes), the H^r Parseval weight."""
+    """|k|^(2r) per mode (zero on inactive modes), the Stokes multiplier A^r."""
     if r == 0.0:
         return lattice.active.astype(np.float64)
     w = np.zeros(lattice.shape, dtype=np.float64)
@@ -219,9 +208,26 @@ def _mod_sq(coeffs: np.ndarray) -> np.ndarray:
     return np.sum(coeffs.real**2 + coeffs.imag**2, axis=0)
 
 
+def parseval_weight(lattice: WaveLattice, r: float,
+                    w: GevreyWeight | None = None) -> np.ndarray:
+    """Per-mode weight of a Parseval sum over the stored half spectrum.
+
+    multiplicity * |k|^(2r) (zero on inactive modes), times the squared
+    Gevrey factor exp(2 phi |k|^(1/s)) when w has phi > 0; w.r is not read.
+    Raises GevreyOverflowError when that factor leaves double range.
+    """
+    weight = lattice.multiplicity * mode_weight(lattice, r)
+    if w is not None and w.phi > 0.0:
+        top = w.max_exponent(lattice)
+        if top > w.exp_guard or 2.0 * top > _LOG_MAX_DOUBLE - 30.0:
+            raise GevreyOverflowError("squared Gevrey weight overflows double range")
+        weight = weight * np.exp(2.0 * w.exponent(lattice.abs_k))
+    return weight
+
+
 def sobolev_norm_sq(f: SpectralField, r: float) -> float:
     """Squared homogeneous H^r norm: sum_k |k|^(2r) |u_hat[k]|^2."""
-    return float(np.sum(mode_weight(f.lattice, r) * _mod_sq(f.coeffs)))
+    return float(np.sum(parseval_weight(f.lattice, r) * _mod_sq(f.coeffs)))
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
@@ -234,18 +240,15 @@ def gevrey_sobolev_norm_sq(f: SpectralField, w: GevreyWeight) -> float:
     Accumulates in log space so large phi yields a finite value or a
     GevreyOverflowError, never a silent inf.
     """
-    lat = f.lattice
+    weight = parseval_weight(f.lattice, w.r, w)
     mod_sq = _mod_sq(f.coeffs)
-    sel = lat.active & (mod_sq > 0.0)
+    sel = (weight > 0.0) & (mod_sq > 0.0)
     if not np.any(sel):
         return 0.0
-    abs_k = lat.abs_k[sel]
-    log_terms = 2.0 * w.exponent(abs_k) + np.log(mod_sq[sel])
-    if w.r != 0.0:
-        log_terms = log_terms + (2.0 * w.r) * np.log(abs_k)
+    log_terms = np.log(weight[sel]) + np.log(mod_sq[sel])
     peak = float(log_terms.max())
     log_sq = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    if log_sq > _LOG_MAX_DOUBLE or w.max_exponent(lat) > w.exp_guard:
+    if log_sq > _LOG_MAX_DOUBLE:
         raise GevreyOverflowError(
             f"Gevrey-H^r norm overflows double range (log norm^2 = {log_sq:.1f})")
     return math.exp(log_sq)
@@ -263,14 +266,8 @@ def weighted_inner(f: SpectralField, g: SpectralField, r: float = 0.0,
     squared weight leaves double range.
     """
     require_same_lattice(f, g)
-    lat = f.lattice
-    weight = mode_weight(lat, 2.0 * r)
-    if w is not None and w.phi > 0.0:
-        if w.max_exponent(lat) > w.exp_guard or 2.0 * w.max_exponent(lat) > _LOG_MAX_DOUBLE - 30.0:
-            raise GevreyOverflowError("squared Gevrey weight overflows double range")
-        weight = weight * np.exp(2.0 * w.exponent(lat.abs_k))
     cross = np.sum(f.coeffs * np.conj(g.coeffs), axis=0).real
-    return float(np.sum(weight * cross))
+    return float(np.sum(parseval_weight(f.lattice, 2.0 * r, w) * cross))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -301,11 +298,13 @@ class PhysicalReport:
 def validate_physical(f: SpectralField) -> PhysicalReport:
     """Report how far f is from satisfying the field invariants."""
     lat = f.lattice
-    herm = float(np.abs(np.conj(lat.reflect(f.coeffs)) - f.coeffs).max())
+    # only the k_last = 0 plane stores both k and -k
+    mirror = (slice(None),) + tuple(i[..., 0] for i in lat.negated_index)
+    herm = float(np.abs(np.conj(f.coeffs[mirror]) - f.coeffs[..., 0]).max())
     zero_idx = (slice(None),) + (0,) * lat.dim
     mean = float(np.abs(f.coeffs[zero_idx]).max())
     nyq = np.any(np.abs(lat.k) == lat.grid_n // 2, axis=0)
-    nyquist = float(np.abs(f.coeffs[:, nyq]).max()) if nyq.any() else 0.0
+    nyquist = float(np.abs(f.coeffs[:, nyq]).max())
     div = None
     if f.solenoidal:
         div = float(np.abs(np.sum(lat.k * f.coeffs, axis=0)).max())
@@ -320,10 +319,16 @@ def validate_physical(f: SpectralField) -> PhysicalReport:
 
 def random_field(lattice: WaveLattice, rng: np.random.Generator,
                  envelope=None, solenoidal: bool = True) -> SpectralField:
-    """Random Hermitian field; envelope(|k|) optionally shapes the spectrum."""
-    shape = (lattice.dim,) + lattice.shape
+    """Random real field; envelope(|k|) optionally shapes the spectrum.
+
+    Draws complex normals on the full grid and keeps the Hermitian part
+    (raw[k] + conj(raw[-k])) / 2 of every stored mode.
+    """
+    shape = (lattice.dim,) + lattice.grid_shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs = hermitize(lattice, raw)
+    mirrored = raw[(slice(None),) + lattice.negated_index]
+    sym = 0.5 * (raw[..., :lattice.shape[-1]] + np.conj(mirrored))
+    coeffs = np.where(lattice.active, sym, 0.0)
     if envelope is not None:
         env = np.zeros(lattice.shape)
         env[lattice.active] = envelope(lattice.abs_k[lattice.active])
@@ -367,11 +372,10 @@ def transfer(f: SpectralField, lattice: WaveLattice) -> SpectralField:
         raise LatticeMismatchError(
             f"transfer requires equal dimension, got {src.dim} and {lattice.dim}")
     half = min(src.grid_n, lattice.grid_n) // 2
-    freq = np.arange(1 - half, half)
-    src_idx = np.ix_(*[freq % src.grid_n] * src.dim)
-    dst_idx = np.ix_(*[freq % lattice.grid_n] * src.dim)
+    # both lattices enumerate the modes with every |k_i| < half in one order
+    src_sel, dst_sel = (np.all(np.abs(lat.k) < half, axis=0) for lat in (src, lattice))
     coeffs = np.zeros((lattice.dim,) + lattice.shape, dtype=np.complex128)
-    coeffs[(slice(None),) + dst_idx] = f.coeffs[(slice(None),) + src_idx]
+    coeffs[:, dst_sel] = f.coeffs[:, src_sel]
     coeffs[(slice(None),) + (0,) * lattice.dim] = 0.0
     return SpectralField(lattice, coeffs, solenoidal=f.solenoidal)
 
@@ -379,15 +383,13 @@ def transfer(f: SpectralField, lattice: WaveLattice) -> SpectralField:
 def single_mode_field(lattice: WaveLattice, kvec, amplitude,
                       solenoidal: bool = True) -> SpectralField:
     """Field with one Hermitian mode pair: u_hat[k] = amplitude, u_hat[-k] = conj."""
-    kvec = tuple(int(v) for v in kvec)
+    kvec = np.reshape(np.asarray(kvec, dtype=np.int64), (-1,) + (1,) * lattice.dim)
     amplitude = np.asarray(amplitude, dtype=np.complex128)
     if amplitude.shape != (lattice.dim,):
         raise ValueError(f"amplitude must have shape ({lattice.dim},)")
     coeffs = np.zeros((lattice.dim,) + lattice.shape, dtype=np.complex128)
-    idx = tuple(v % lattice.grid_n for v in kvec)
-    neg = tuple((-v) % lattice.grid_n for v in kvec)
-    coeffs[(slice(None),) + idx] = amplitude
-    coeffs[(slice(None),) + neg] = np.conj(amplitude)
+    for vec, amp in ((kvec, amplitude), (-kvec, np.conj(amplitude))):
+        coeffs[:, np.all(lattice.k == vec, axis=0)] = amp[:, None]  # where stored
     coeffs = np.where(lattice.active, coeffs, 0.0)
     f = SpectralField(lattice, coeffs)
     return leray_project(f) if solenoidal else f

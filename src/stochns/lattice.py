@@ -1,9 +1,14 @@
 """Wavevector lattice for the periodic torus.
 
-Integer wavevectors k live on the numpy FFT layout; the Nyquist slot is
-relabelled +n/2 so components span (-n/2, n/2]. Nyquist rows and the zero
-mode are flagged inactive: they are forced to zero everywhere so that the
-active mode set is closed under k -> -k and all fields are mean-free.
+Fields are real, so their spectra are Hermitian (u_hat[-k] = conj(u_hat[k]))
+and only half of the modes are stored: the `rfftn` layout, shape
+(n, ..., n, n//2+1), with the first axes in numpy FFT order and the last
+axis holding k_last = 0..n/2. The Nyquist slot is labelled +n/2, so
+components span (-n/2, n/2]. Nyquist rows and the zero mode are flagged
+inactive: they are forced to zero everywhere so that the active mode set is
+closed under k -> -k and all fields are mean-free. Each stored mode off the
+k_last = 0 plane stands for itself and its conjugate partner, which the
+Parseval `multiplicity` counts. This module alone decides that layout.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ class WaveLattice:
     ----------
     dim : 2 or 3
     grid_n : points per axis (even, >= 8)
-    k : int64 array, shape (dim, grid_n, ..., grid_n); integer wavevector
-        components in (-grid_n/2, grid_n/2]
-    ksq : int64 array of |k|^2 per mode
+    k : int64 array, shape (dim,) + shape; integer wavevector components in
+        (-grid_n/2, grid_n/2], the last one in [0, grid_n/2]
+    ksq : int64 array of |k|^2 per stored mode
     abs_k : float64 array of |k|
     active : bool mask; False at the zero mode and on Nyquist rows
     dealias_mask : bool mask; True iff active and every |k_i| < grid_n/3
+    multiplicity : float64 array; the number of full-grid modes a stored
+        mode stands for in Parseval sums: 2 for 0 < k_last < grid_n/2, 1 on
+        the k_last = 0 plane and on the (inactive) Nyquist column
 
     Typical use is ``build_lattice(dim, n)`` rather than direct construction.
     """
@@ -40,13 +48,21 @@ class WaveLattice:
     abs_k: np.ndarray = field(repr=False, compare=False)
     active: np.ndarray = field(repr=False, compare=False)
     dealias_mask: np.ndarray = field(repr=False, compare=False)
+    multiplicity: np.ndarray = field(repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
+        """Shape of the stored half spectrum per component."""
+        return (self.grid_n,) * (self.dim - 1) + (self.grid_n // 2 + 1,)
+
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        """Physical grid shape, the `s=` of the real transforms."""
         return (self.grid_n,) * self.dim
 
     @property
     def n_modes(self) -> int:
+        """Points of the physical grid, the normalisation of the transforms."""
         return self.grid_n**self.dim
 
     @property
@@ -65,12 +81,14 @@ class WaveLattice:
             raise ValueError(f"Galerkin cutoff must be >= 1, got {cutoff}")
         return self.active & (self.ksq <= cutoff * cutoff)
 
-    def reflect(self, arr: np.ndarray) -> np.ndarray:
-        """Map mode k to mode -k over the trailing spatial axes."""
-        out = arr
-        for ax in range(arr.ndim - self.dim, arr.ndim):
-            out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-        return out
+    @property
+    def negated_index(self) -> tuple[np.ndarray, ...]:
+        """Index into a full (grid_n,) * dim grid of -k, for every stored mode k.
+
+        On the k_last = 0 plane it is also an index into the stored half,
+        where both k and -k are kept.
+        """
+        return tuple((-self.k) % self.grid_n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -103,7 +121,7 @@ def build_lattice(dim: int, grid_n: int) -> WaveLattice:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
 
     freq = _int_frequencies(grid_n)
-    axes = np.meshgrid(*([freq] * dim), indexing="ij")
+    axes = np.meshgrid(*([freq] * (dim - 1)), freq[:grid_n // 2 + 1], indexing="ij")
     k = np.stack(axes).astype(np.int64)
     ksq = np.sum(k * k, axis=0)
     abs_k = np.sqrt(ksq.astype(np.float64))
@@ -114,11 +132,13 @@ def build_lattice(dim: int, grid_n: int) -> WaveLattice:
     # masked modes, so retained quadratic convolutions are exact on every grid
     # (<= n/3 is equivalent except when 3 divides n, where it admits a corner alias)
     dealias = active & np.all(3 * np.abs(k) <= grid_n - 1, axis=0)
+    paired = (k[-1] > 0) & (k[-1] < grid_n // 2)
+    multiplicity = np.where(paired, 2.0, 1.0)
 
-    for arr in (k, ksq, abs_k, active, dealias):
+    for arr in (k, ksq, abs_k, active, dealias, multiplicity):
         arr.flags.writeable = False
     return WaveLattice(dim=dim, grid_n=grid_n, k=k, ksq=ksq, abs_k=abs_k,
-                       active=active, dealias_mask=dealias)
+                       active=active, dealias_mask=dealias, multiplicity=multiplicity)
 
 
 @lru_cache(maxsize=32)

@@ -71,10 +71,9 @@ class MultiplicativeNoise:
             return 0.0
         if self.variant == LINEAR:
             return float(sum(abs(c) for c in self.coefficients))
-        ew = w.with_phi(w.phi)
         total = 0.0
         for sig in self.sigmas:
-            total += sobolev_norm(gevrey_apply(sig, dataclasses.replace(ew, r=0.0)), ew.r)
+            total += sobolev_norm(gevrey_apply(sig, dataclasses.replace(w, r=0.0)), w.r)
         return total
 
 

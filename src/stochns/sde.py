@@ -26,7 +26,7 @@ import numpy as np
 
 from .brownian import IncrementBlock, PathSpec, increments
 from .fields import (GevreyWeight, SpectralField, galerkin_project,
-                     leray_project, mode_weight, sobolev_norm_sq, transfer)
+                     leray_project, parseval_weight, sobolev_norm_sq, transfer)
 from .lattice import WaveLattice
 from .noise import NoiseSystem
 from . import nonlinear
@@ -159,8 +159,8 @@ class _Stepper:
         # observables read the ball only: the state is zero off it, and the
         # Gevrey weight is then never evaluated where it could overflow
         self.ball_index = np.flatnonzero(self.ball)
-        self.w_h1_ball = mode_weight(lattice, 1.0).ravel()[self.ball_index]
-        self.w_h2_ball = mode_weight(lattice, 2.0).ravel()[self.ball_index]
+        self.w_l2_ball, self.w_h1_ball, self.w_h2_ball = (
+            parseval_weight(lattice, r).ravel()[self.ball_index] for r in (0.0, 1.0, 2.0))
         self.root_ball = np.power(lattice.abs_k.ravel()[self.ball_index], 1.0 / cfg.gevrey.s)
         max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
         if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
@@ -245,7 +245,7 @@ class _Stepper:
         mod = np.sum(cb.real**2 + cb.imag**2, axis=0)
         h1 = self.w_h1_ball * mod
         h2 = self.w_h2_ball * mod
-        obs = {"l2_sq": float(np.sum(mod)),
+        obs = {"l2_sq": float(np.sum(self.w_l2_ball * mod)),
                "h1_sq": float(np.sum(h1)),
                "h2_sq": float(np.sum(h2))}
         if phi == 0.0:

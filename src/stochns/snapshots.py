@@ -1,9 +1,11 @@
 """Snapshot containers: coefficient arrays as .npy plus a JSON sidecar.
 
-The .npy header is self-describing (dtype, shape = (dim, n, ..., n) in
-k-major order) and byte-deterministic, which .npz is not (zip timestamps);
-the sidecar carries the metadata (time, seed, cutoff, phi, budgets, stop
-records). A checkpoint restored from disk resumes bit-compatibly.
+The .npy array is the stored half spectrum, shape (dim, n, ..., n, n//2+1)
+(see `lattice`); its header is self-describing and byte-deterministic, which
+.npz is not (zip timestamps). The sidecar carries the metadata (time, seed,
+cutoff, phi, budgets, stop records) and names the layout; files in any other
+layout, such as full-grid spectra, are refused rather than converted. A
+checkpoint restored from disk resumes bit-compatibly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .brownian import IncrementBlock
 from .fields import SpectralField
 from .lattice import get_lattice
 from .sde import SimState, StopRecord
+
+LAYOUT = ("Hermitian half spectrum, complex128, axes (component, k1, ..., kd); "
+          "k1..k(d-1) in numpy fft order, kd = 0..n/2 (rfftn layout)")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -42,7 +47,7 @@ def save_field(base: str | Path, field: SpectralField, meta: dict | None = None)
         "dim": field.lattice.dim,
         "grid_n": field.lattice.grid_n,
         "solenoidal": field.solenoidal,
-        "layout": "k-major complex128, axes (component, k1, ..., kd), numpy fft order",
+        "layout": LAYOUT,
     })
     jsn = base.with_suffix(".json")
     _write_sidecar(jsn, sidecar)
@@ -50,8 +55,15 @@ def save_field(base: str | Path, field: SpectralField, meta: dict | None = None)
 
 
 def load_field(base: str | Path) -> tuple[SpectralField, dict]:
+    """Read a field written by save_field.
+
+    Raises ValueError for another sidecar layout, and (from SpectralField)
+    for an array that is not the lattice's half spectrum.
+    """
     base = Path(base)
     meta = json.loads(base.with_suffix(".json").read_text())
+    if meta.get("layout") != LAYOUT:
+        raise ValueError(f"{base}: snapshot layout {meta.get('layout')!r} is not {LAYOUT!r}")
     coeffs = np.load(base.with_suffix(".npy"))
     lattice = get_lattice(meta["dim"], meta["grid_n"])
     return SpectralField(lattice, coeffs, solenoidal=meta.get("solenoidal", False)), meta

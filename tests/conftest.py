@@ -27,6 +27,21 @@ def lat3d():
     return build_lattice(3, 16)
 
 
+def full_grid_k(dim, n):
+    """Integer wavevectors of the full (n,) * dim grid in numpy FFT order,
+    Nyquist labelled +n/2: the reference the stored half is cut from."""
+    freq = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
+    freq[freq == -(n // 2)] = n // 2
+    return np.stack(np.meshgrid(*[freq] * dim, indexing="ij"))
+
+
+def full_spectrum(f):
+    """Full-grid spectrum of a field, rebuilt with numpy's complex FFT from
+    the real grid values of its stored half."""
+    axes = tuple(range(-f.lattice.dim, 0))
+    return np.fft.fftn(np.fft.irfftn(f.coeffs, s=f.lattice.grid_shape, axes=axes), axes=axes)
+
+
 def smooth_field(lattice, seed=0, delta=0.4):
     """Dealiased solenoidal field with an analytic spectrum."""
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.snapshots import sha256_file
 
@@ -229,6 +230,11 @@ def test_increment_dump_requested(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     arr = np.load(out / "increments_path000.npy")
     assert arr.shape == (50, 3)
+    # each dump is the base Wiener stream of its path: seed 9001, 1 + 2 processes
+    for i in range(2):
+        dumped = np.load(out / f"increments_path{i:03d}.npy")
+        expected = increments(PathSpec(9001, i, 3), 0.0, 0.001, 50).increments
+        assert dumped.dtype == expected.dtype and dumped.tobytes() == expected.tobytes()
     record = json.loads((out / "run_record.json").read_text())
     names = {m["path"] for m in record["manifest"]}
     assert "increments_path000.npy" in names

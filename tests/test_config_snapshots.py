@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import smooth_field, transport_system
+from conftest import full_grid_k, full_spectrum, smooth_field, transport_system
 from stochns.brownian import PathSpec, increments
 from stochns.config import ConfigError, ExperimentConfig, default_oracle_config
 from stochns.fields import random_h1_field
@@ -84,7 +84,8 @@ def test_builders_produce_consistent_objects():
     scfg = cfg.stepper_config(8)
     assert scfg.cutoff == 8 and scfg.k0 == cfg["initial.k0"]
     u0 = cfg.initial_field(lattice)
-    assert abs(np.sum(np.abs(u0.coeffs) ** 2 * lattice.ksq) - cfg["initial.k0"]) <= 1e-9
+    ksq = np.sum(full_grid_k(2, 32) ** 2, axis=0)
+    assert abs(np.sum(np.abs(full_spectrum(u0)) ** 2 * ksq) - cfg["initial.k0"]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,22 @@ def test_state_round_trip(tmp_path, lat32):
     assert restored.t == state.t and restored.step == state.step
     assert restored.budget_sup == state.budget_sup
     assert restored.stops == state.stops
+
+
+def test_full_grid_snapshot_rejected(tmp_path, lat32):
+    # a snapshot in the earlier full-grid layout: (dim, n, n) coefficients
+    f = smooth_field(lat32, seed=4)
+    np.save(tmp_path / "old.npy", full_spectrum(f))
+    meta = {"dim": 2, "grid_n": 32, "solenoidal": True,
+            "layout": "k-major complex128, axes (component, k1, ..., kd), numpy fft order"}
+    (tmp_path / "old.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="layout"):
+        load_field(tmp_path / "old")
+    # the current layout name on a full-grid array is refused by its shape
+    save_field(tmp_path / "new", f)
+    np.save(tmp_path / "new.npy", full_spectrum(f))
+    with pytest.raises(ValueError, match="shape"):
+        load_field(tmp_path / "new")
 
 
 def test_snapshot_bytes_deterministic(tmp_path, lat32):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rough_field, smooth_field
+from conftest import full_grid_k, full_spectrum, rough_field, smooth_field
+from stochns.diagnostics import shell_spectrum
 from stochns.fields import (GevreyOverflowError, GevreyWeight,
                             LatticeMismatchError, SpectralField,
                             galerkin_complement, galerkin_project,
-                            gevrey_apply, gevrey_sobolev_norm, hermitize,
+                            gevrey_apply, gevrey_sobolev_norm,
+                            gevrey_sobolev_norm_sq,
                             leray_project, random_field, random_h1_field,
                             single_mode_field, sobolev_norm,
                             sobolev_norm_sq, stokes_power, transfer,
@@ -18,12 +20,15 @@ from stochns.lattice import build_lattice
 # ---------------------------------------------------------------------------
 # Leray projector
 
+def gradient_field(lattice, seed):
+    """u_hat = k phi_hat for a random real scalar phi: a pure gradient."""
+    phi = random_field(lattice, np.random.default_rng(seed), solenoidal=False).coeffs[0]
+    return SpectralField(lattice, lattice.k * phi)
+
+
 def test_leray_annihilates_gradient_fields(lat16):
     # u_hat parallel to k at every mode -> pure gradient -> projected to zero
-    rng = np.random.default_rng(0)
-    phases = rng.standard_normal(lat16.shape) + 1j * rng.standard_normal(lat16.shape)
-    coeffs = lat16.k * hermitize(lat16, np.broadcast_to(phases, (2,) + lat16.shape))
-    f = SpectralField(lat16, np.where(lat16.active, coeffs, 0.0))
+    f = gradient_field(lat16, seed=0)
     p = leray_project(f)
     assert np.abs(p.coeffs).max() <= 1e-13 * max(np.abs(f.coeffs).max(), 1.0)
 
@@ -171,6 +176,11 @@ def test_h1_norm_two_mode_pair(lat16):
     f = single_mode_field(lat16, (2, 0), c)
     expected = 2 * 4 * np.sum(np.abs(c) ** 2)
     assert abs(sobolev_norm_sq(f, 1.0) - expected) <= 1e-12 * expected
+    # k = (1, -2) is stored as its partner (-1, 2), holding conj(c)
+    g = single_mode_field(lat16, (1, -2), c, solenoidal=False)
+    np.testing.assert_array_equal(g.coeffs[:, 15, 2], np.conj(c))
+    assert np.count_nonzero(g.coeffs) == 1
+    assert abs(sobolev_norm_sq(g, 1.0) - 2 * 5 * np.sum(np.abs(c) ** 2)) <= 1e-12 * expected
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
@@ -213,10 +223,7 @@ def test_validate_physical_detects_mean_violation(lat16):
 
 
 def test_gradient_field_after_leray_has_zero_divergence(lat16):
-    rng = np.random.default_rng(20)
-    phases = rng.standard_normal(lat16.shape) + 1j * rng.standard_normal(lat16.shape)
-    coeffs = lat16.k * hermitize(lat16, np.broadcast_to(phases, (2,) + lat16.shape))
-    f = SpectralField(lat16, np.where(lat16.active, coeffs, 0.0))
+    f = gradient_field(lat16, seed=20)
     rep = validate_physical(leray_project(f))
     assert rep.divergence_residual <= 1e-13
 
@@ -243,14 +250,24 @@ def test_lattice_mismatch_raises(lat16, lat32):
         zero_field(lat16) + zero_field(lat32)
 
 
+def coefficient_at(f, kvec):
+    """u_hat[kvec], read from the stored half or as the conjugate of u_hat[-kvec]."""
+    kvec = np.reshape(kvec, (-1,) + (1,) * f.lattice.dim)
+    at = np.all(f.lattice.k == kvec, axis=0)
+    if at.any():
+        return f.coeffs[:, at][:, 0]
+    return np.conj(f.coeffs[:, np.all(f.lattice.k == -kvec, axis=0)][:, 0])
+
+
 def test_restrict_to_copies_shared_modes(lat16, lat32):
     f = smooth_field(lat32, seed=23)
     g = transfer(f, lat16)
     assert validate_physical(g).ok(1e-13)
-    for kv in [(1, 0), (3, -2), (-5, 7), (7, 7)]:
-        src = f.coeffs[:, kv[0] % 32, kv[1] % 32]
-        dst = g.coeffs[:, kv[0] % 16, kv[1] % 16]
-        np.testing.assert_array_equal(src, dst)
+    for kv in [(1, 0), (3, -2), (-5, 7), (7, 7), (-4, 0)]:
+        np.testing.assert_array_equal(coefficient_at(f, kv), coefficient_at(g, kv))
+        # and the value a full-grid rebuild holds there
+        ref = full_spectrum(f)[:, kv[0] % 32, kv[1] % 32]
+        assert np.abs(coefficient_at(g, kv) - ref).max() <= 1e-15 * np.abs(f.coeffs).max()
     # the coarse lattice's Nyquist rows cannot hold f's modes there
     assert np.abs(g.coeffs[:, 8, :]).max() == 0.0 and np.abs(g.coeffs[:, :, 8]).max() == 0.0
 
@@ -286,10 +303,49 @@ def test_transfer_rejects_other_dimension(lat16, lat3d):
         transfer(smooth_field(lat16, seed=43), lat3d)
 
 
-def test_gevrey_weight_multiplier_clamps(lat16):
-    w = GevreyWeight(s=1.0, r=1.0, phi=2.0, exp_guard=5.0)
-    abs_k = np.array([0.0, 2.0, 100.0])
-    m = w.multiplier(abs_k)
-    assert m[0] == 0.0  # zero mode carries no |k|^r weight
-    assert m[1] == pytest.approx(2.0 * np.exp(4.0))
-    assert m[2] == pytest.approx(100.0 * np.exp(5.0))  # exponent clamped at the guard
+# ---------------------------------------------------------------------------
+# Parseval sums over the stored half against full-grid references
+
+def reference_sum(f, g, power, phi=0.0):
+    """sum over the full grid of |k|^power exp(2 phi |k|) Re(f_hat conj(g_hat))."""
+    k = full_grid_k(f.lattice.dim, f.lattice.grid_n)
+    abs_k = np.sqrt(np.sum(k * k, axis=0).astype(float))
+    cross = np.sum(full_spectrum(f) * np.conj(full_spectrum(g)), axis=0).real
+    weight = np.where(abs_k > 0, abs_k, 1.0) ** power * np.exp(2 * phi * abs_k)
+    return float(np.sum(np.where(abs_k > 0, weight, 0.0) * cross))
+
+
+@pytest.mark.parametrize("dim,grid", [(2, 16), (3, 16)])
+def test_parseval_sums_match_full_grid(dim, grid):
+    # rough fields carry energy on the k_last = 0 plane and on every column
+    # in between, so weighting either by the other's multiplicity shows
+    lat = build_lattice(dim, grid)
+    f, g = rough_field(lat, seed=50), rough_field(lat, seed=51)
+    for r in (0.0, 0.5, 1.0, 2.0):
+        assert sobolev_norm_sq(f, r) == pytest.approx(reference_sum(f, f, 2 * r), rel=1e-13)
+    for r in (0.0, 1.0, 2.0):
+        for phi in (0.0, 0.3):
+            w = GevreyWeight(s=1.0, r=0.0, phi=phi) if phi else None
+            ref = reference_sum(f, g, 4 * r, phi)
+            assert weighted_inner(f, g, r=r, w=w) == pytest.approx(ref, rel=1e-13)
+    w = GevreyWeight(s=1.0, r=1.0, phi=0.3)
+    assert gevrey_sobolev_norm_sq(f, w) == pytest.approx(reference_sum(f, f, 2, 0.3), rel=1e-13)
+    # shell energies: bin the full grid by kappa = round(|k|)
+    k = full_grid_k(dim, grid)
+    kappa = np.rint(np.sqrt(np.sum(k * k, axis=0))).astype(int)
+    energy = np.bincount(kappa.ravel(), weights=np.sum(np.abs(full_spectrum(f)) ** 2, axis=0).ravel())
+    spec = shell_spectrum(f)
+    # shells past the dealias limit hold 0 against the rebuild's FFT roundoff
+    np.testing.assert_allclose(spec.energy, energy[spec.kappa], rtol=1e-13,
+                               atol=1e-15 * energy.max())
+
+
+def test_hermitian_residual_flags_broken_pair_on_plane(lat16):
+    f = smooth_field(lat16, seed=52)
+    assert validate_physical(f).hermitian_residual <= 1e-15 * np.abs(f.coeffs).max()
+    # k = (3, 0) and (-3, 0) are both stored; change one of them only
+    broken = f.coeffs.copy()
+    broken[:, 3, 0] += 0.25
+    rep = validate_physical(SpectralField(lat16, broken, solenoidal=True))
+    assert rep.hermitian_residual == pytest.approx(0.25, rel=1e-12)
+    assert not rep.ok(1e-13)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import full_grid_k
 from stochns.lattice import build_lattice, galerkin_grid, get_lattice
+
+
+def full_grid_masks(dim, n):
+    """Full-grid |k|^2, active and dealias masks, built from the definitions."""
+    k = full_grid_k(dim, n)
+    ksq = np.sum(k * k, axis=0)
+    active = (ksq > 0) & ~np.any(np.abs(k) == n // 2, axis=0)
+    return k, ksq, active, active & np.all(3 * np.abs(k) <= n - 1, axis=0)
 
 
 def test_rejects_bad_grids():
@@ -31,10 +40,18 @@ def test_2d8_dealias_is_exactly_two():
 
 def test_3d8_closed_under_negation():
     lat = build_lattice(3, 8)
+    k, ksq, active, dealias = full_grid_masks(3, 8)
     # every active mode's negation is active with matching |k|
-    refl_active = lat.reflect(lat.active)
-    assert np.array_equal(lat.active, refl_active)
-    assert np.array_equal(lat.ksq, lat.reflect(lat.ksq))
+    neg = tuple((-k) % 8)
+    assert np.array_equal(active, active[neg]) and np.array_equal(ksq, ksq[neg])
+    # the lattice stores the columns k_last = 0..n/2 of that grid
+    half = (..., slice(0, 5))
+    assert lat.shape == (8, 8, 5) and lat.grid_shape == (8, 8, 8)
+    assert np.array_equal(lat.k, k[half]) and np.array_equal(lat.ksq, ksq[half])
+    assert np.array_equal(lat.active, active[half])
+    assert np.array_equal(lat.dealias_mask, dealias[half])
+    # negated_index addresses -k on the full grid
+    assert np.all((k[(slice(None),) + lat.negated_index] + lat.k) % 8 == 0)
 
 
 def test_component_range():
@@ -53,8 +70,12 @@ def test_nyquist_rows_inactive():
 @pytest.mark.parametrize("dim,n", [(2, 8), (2, 16), (2, 64), (3, 8), (3, 16)])
 def test_dealias_fraction(dim, n):
     lat = build_lattice(dim, n)
-    frac = lat.dealias_mask.sum() / lat.n_modes
+    dealias = full_grid_masks(dim, n)[3]
+    frac = dealias.sum() / lat.n_modes
     assert frac >= (2.0 / 3.0) ** dim - dim / n
+    # the multiplicity counts every full-grid mode once
+    assert np.sum(lat.multiplicity * lat.dealias_mask) == dealias.sum()
+    assert np.sum(lat.multiplicity) == lat.n_modes
 
 
 def test_ball_mask_euclidean():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_field
+from conftest import full_grid_k, full_spectrum, smooth_field
 from stochns.fields import (GevreyWeight, LatticeMismatchError, SpectralField,
                             l2_inner, single_mode_field, sobolev_norm,
                             sobolev_norm_sq, validate_physical, weighted_inner,
@@ -14,13 +14,18 @@ from stochns.nonlinear import (convect, dealias, from_physical, ito_corrector,
 def shear_field(lattice):
     """u = (sin x2, 0): self-cancelling under advection."""
     coeffs = np.zeros((2,) + lattice.shape, dtype=complex)
-    coeffs[0, 0, 1] = -0.5j
-    coeffs[0, 0, -1] = 0.5j
+    coeffs[0, 0, 1] = -0.5j  # its partner k = (0, -1) holds the conjugate
     return SpectralField(lattice, coeffs, solenoidal=True)
 
 
 # ---------------------------------------------------------------------------
 # transforms
+
+def test_shear_field_grid_values(lat32):
+    x2 = 2 * np.pi * np.arange(32) / 32
+    expected = np.stack([np.broadcast_to(np.sin(x2), (32, 32)), np.zeros((32, 32))])
+    assert np.abs(to_physical(shear_field(lat32)) - expected).max() <= 1e-15
+
 
 def test_round_trip(lat32):
     f = smooth_field(lat32, seed=1)
@@ -95,15 +100,19 @@ def test_convect_output_clean(lat32):
 
 
 def advective_reference(u, v):
-    """P((u . grad) v) in advective form with complex transforms, dealiased."""
+    """P((u . grad) v) in advective form with complex transforms on the full
+    grid, dealiased; returns the stored half of the result."""
     lat = u.lattice
-    axes = tuple(range(-lat.dim, 0))
-    u_phys = np.fft.ifftn(u.coeffs, axes=axes).real
-    grad = np.fft.ifftn(1j * lat.k[None] * v.coeffs[:, None], axes=axes).real
+    n, axes = lat.grid_n, tuple(range(-lat.dim, 0))
+    k = full_grid_k(lat.dim, n)
+    ksq = np.sum(k * k, axis=0)
+    mask = (ksq > 0) & np.all(3 * np.abs(k) <= n - 1, axis=0)
+    u_phys = np.fft.ifftn(full_spectrum(u), axes=axes).real
+    grad = np.fft.ifftn(1j * k[None] * full_spectrum(v)[:, None], axes=axes).real
     out = np.fft.fftn(np.einsum("j...,mj...->m...", u_phys, grad), axes=axes)
-    out = np.where(lat.dealias_mask, out * lat.n_modes, 0.0)
-    ksq = np.where(lat.ksq > 0, lat.ksq, 1)
-    return out - lat.k * np.einsum("j...,j...->...", lat.k, out) / ksq
+    out = np.where(mask, out * lat.n_modes, 0.0)
+    out = out - k * np.einsum("j...,j...->...", k, out) / np.where(ksq > 0, ksq, 1)
+    return out[..., :n // 2 + 1]
 
 
 @pytest.mark.parametrize("dim,grid", [(2, 32), (3, 16)])
@@ -132,11 +141,13 @@ def test_convect_output_hermitian_and_dealiased(dim, grid):
     lat = build_lattice(dim, grid)
     u = smooth_field(lat, seed=17, delta=0.3)
     for v in (u, smooth_field(lat, seed=18, delta=0.3)):
-        out = convect(u, v).coeffs
-        mirrored = np.conj(lat.reflect(out))
-        off_plane = lat.k[-1] != 0
-        assert np.array_equal(mirrored[:, off_plane], out[:, off_plane])
-        assert np.all(out[:, ~lat.dealias_mask] == 0.0)
+        out = convect(u, v)
+        # the stored half is that of a real field: Hermitian on k_last = 0
+        scale = np.abs(out.coeffs).max()
+        assert validate_physical(out).hermitian_residual <= 1e-15 * scale
+        rebuilt = full_spectrum(out)[..., :grid // 2 + 1]
+        assert np.abs(rebuilt - out.coeffs).max() <= 1e-15 * scale
+        assert np.all(out.coeffs[:, ~lat.dealias_mask] == 0.0)
 
 
 def test_convect_lattice_mismatch(lat16, lat32):
