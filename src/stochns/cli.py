@@ -193,11 +193,14 @@ def cmd_linear_oracle(config: ExperimentConfig, out_dir: Path) -> int:
     result = studies.linear_oracle_study(config)
     rec.add(write_csv(out_dir / "oracle.csv", ["dt", "strong_error", "modulus_error"],
                       zip(result.dts, result.strong_errors, result.modulus_errors)))
+    for i, reason in sorted(result.nonfinite.items()):
+        print(f"warning: path {i} aborted ({reason}); recorded and excluded", file=sys.stderr)
     rec.extra["strong_slope"] = result.strong_slope
     rec.extra["modulus_slope"] = result.modulus_slope
     rec.extra["machine_precision"] = result.machine_precision
+    rec.extra["nonfinite_paths"] = sorted(result.nonfinite)
     rec.write()
-    return EXIT_OK
+    return EXIT_NONFINITE if result.nonfinite else EXIT_OK
 
 
 def cmd_invariants(config: ExperimentConfig, out_dir: Path) -> int:

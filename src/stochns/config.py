@@ -91,6 +91,34 @@ def _check_keys(data: dict, path: str = "") -> None:
             _check_keys(value, f"{path}.{key}" if path else key)
 
 
+def _require(node, path: str, keys) -> None:
+    """The object at `path` must hold every one of `keys`."""
+    where = f"section {path!r}" if path else "top level"
+    if not isinstance(node, dict):
+        raise ConfigError(f"config {where} must be an object")
+    missing = [key for key in keys if key not in node]
+    if missing:
+        raise ConfigError(f"missing config keys at {where}: {missing}")
+
+
+def _check_required(data: dict) -> None:
+    """A config file is not merged with the defaults, so every section and
+    every key the program reads must be present."""
+    _require(data, "", DEFAULT_CONFIG)
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and section != "noise":
+            _require(data[section], section, default)
+    _require(data["noise"], "noise", ("multiplicative", "transport"))
+    mult, tr = data["noise"]["multiplicative"], data["noise"]["transport"]
+    _require(mult, "noise.multiplicative", ("variant",))
+    variant_keys = {"linear": ("coefficients", "index_set"),
+                    "additive": ("amplitudes", "modes", "index_set")}
+    _require(mult, "noise.multiplicative", variant_keys.get(mult["variant"], ()))
+    _require(tr, "noise.transport", ("variant", "index_set"))
+    if "vectors" not in tr:
+        _require(tr, "noise.transport", ("amplitude", "count"))
+
+
 def _merged(overrides: dict | None) -> dict:
     data = copy.deepcopy(DEFAULT_CONFIG)
     if overrides:
@@ -160,6 +188,7 @@ class ExperimentConfig:
         d = self.data
         if d.get("schema_version") != 1:
             raise ConfigError("schema_version must be 1")
+        _check_required(d)
         lat = d["lattice"]
         if lat["dim"] not in (2, 3):
             raise ConfigError("lattice.dim must be 2 or 3")
@@ -227,11 +256,10 @@ class ExperimentConfig:
         if mult["variant"] not in ("zero", "linear", "additive"):
             raise ConfigError(f"unknown multiplicative variant {mult['variant']!r}")
         if mult["variant"] == "linear":
-            if len(mult.get("coefficients", ())) != len(mult.get("index_set", ())):
+            if len(mult["coefficients"]) != len(mult["index_set"]):
                 raise ConfigError("linear noise: coefficients and index_set lengths differ")
         if mult["variant"] == "additive":
-            if not (len(mult.get("amplitudes", ())) == len(mult.get("modes", ()))
-                    == len(mult.get("index_set", ()))):
+            if not len(mult["amplitudes"]) == len(mult["modes"]) == len(mult["index_set"]):
                 raise ConfigError("additive noise: amplitudes, modes, index_set lengths differ")
         tr = noise["transport"]
         if tr["variant"] != "constant":
@@ -240,7 +268,7 @@ class ExperimentConfig:
         if "vectors" in tr:
             if len(tr["vectors"]) != len(tr["index_set"]):
                 raise ConfigError("transport: vectors and index_set lengths differ")
-        elif tr.get("count", 0) != len(tr.get("index_set", ())):
+        elif tr["count"] != len(tr["index_set"]):
             raise ConfigError("transport: count and index_set lengths differ")
 
     # -- builders -------------------------------------------------------------

@@ -146,114 +146,159 @@ def warn_if_unstable(cfg: StepperConfig, system: NoiseSystem, h1_norm: float) ->
 # the stepping engine
 
 class _Stepper:
-    """Precomputed multiplier arrays for one (config, system, lattice) triple."""
+    """Precomputed multipliers for one (config, system, lattice) triple.
+
+    The stepper works on the Galerkin ball packed as an array of shape
+    (..., dim, n_ball): the half-spectrum modes of `ball_index`, in that
+    order, under any leading batch shape of independent paths. Every stage
+    but convection is element-wise there; each path's arithmetic is the same
+    whatever the batch holds, so a batch reproduces single-path runs bit for
+    bit.
+    """
 
     def __init__(self, cfg: StepperConfig, system: NoiseSystem, lattice: WaveLattice):
         self.cfg = cfg
         self.system = system
         self.lattice = lattice
-        self.ball = lattice.ball_mask(cfg.cutoff)
-        self.decay = np.where(self.ball,
-                              np.exp(-cfg.nu * cfg.dt * lattice.ksq.astype(np.float64)), 0.0)
-        self.visc = np.where(lattice.active, lattice.ksq.astype(np.float64), 0.0)
-        # observables read the ball only: the state is zero off it, and the
-        # Gevrey weight is then never evaluated where it could overflow
-        self.ball_index = np.flatnonzero(self.ball)
+        self.ball_index = np.flatnonzero(lattice.ball_mask(cfg.cutoff))
+        # the ball of every component in the flattened (dim,) + lattice.shape
+        n_half = int(np.prod(lattice.shape))
+        self._component_index = (np.arange(lattice.dim)[:, None] * n_half
+                                 + self.ball_index).ravel()
+        self.ksq = self._on_ball(lattice.ksq).astype(np.float64)
+        self.decay = np.exp(-cfg.nu * cfg.dt * self.ksq)
+        # observables read the ball only, so the Gevrey weight is never
+        # evaluated off it, where it could overflow
         self.w_l2_ball, self.w_h1_ball, self.w_h2_ball = (
-            parseval_weight(lattice, r).ravel()[self.ball_index] for r in (0.0, 1.0, 2.0))
-        self.root_ball = np.power(lattice.abs_k.ravel()[self.ball_index], 1.0 / cfg.gevrey.s)
+            self._on_ball(parseval_weight(lattice, r)) for r in (0.0, 1.0, 2.0))
+        self.root_ball = np.power(self._on_ball(lattice.abs_k), 1.0 / cfg.gevrey.s)
         max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
         if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
             raise ValueError("phi_cap too large for this lattice/cutoff (Gevrey guard)")
 
         # the real phases (xi_k.k) per family position and the Ito corrector
-        self.xi_phase, self.corrector_mult = nonlinear.transport_multipliers(
-            lattice, system.xi.vectors)
+        phases, corrector = nonlinear.transport_multipliers(lattice, system.xi.vectors)
+        self.xi_phase = [self._on_ball(phase) for phase in phases]
+        self.corrector_mult = self._on_ball(corrector)
 
         # additive sigma fields arrive pre-projected onto the ball, carried
         # over from the lattice they were built on
         self.additive_hat = None
         if system.g.variant == "additive":
-            self.additive_hat = [
-                np.where(self.ball, transfer(leray_project(sig), lattice).coeffs, 0.0)
-                for sig in system.g.sigmas
-            ]
+            self.additive_hat = [self.pack(transfer(leray_project(sig), lattice).coeffs)
+                                 for sig in system.g.sigmas]
+
+    # -- the packed layout ----------------------------------------------------
+
+    def _on_ball(self, values: np.ndarray) -> np.ndarray:
+        """A per-mode lattice array restricted to the ball."""
+        return values.ravel()[self.ball_index]
+
+    def pack(self, coeffs: np.ndarray) -> np.ndarray:
+        """Ball modes of half-spectrum coefficients (..., dim) + lattice.shape."""
+        batch = coeffs.shape[:coeffs.ndim - self.lattice.dim - 1]
+        flat = np.take(coeffs.reshape(batch + (-1,)), self._component_index, axis=-1)
+        return flat.reshape(batch + (self.lattice.dim, -1))
+
+    def unpack(self, c_ball: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients that hold c_ball on the ball and zero elsewhere."""
+        batch = c_ball.shape[:-2]
+        out = np.zeros(c_ball.shape[:-1] + self.lattice.shape, dtype=np.complex128)
+        out.reshape(batch + (-1,))[..., self._component_index] = c_ball.reshape(batch + (-1,))
+        return out
 
     # -- pieces -------------------------------------------------------------
 
     def explicit_drift(self, c: np.ndarray) -> np.ndarray:
-        """Drift without the viscous term: -P^N P((u.grad)u) + Ito corrector."""
-        lat = self.lattice
+        """Drift without the viscous term: -P^N P((u.grad)u) + Ito corrector.
+
+        Convection is the one stage off the ball: each path is scattered
+        into a zeroed half grid for `convect` and its result gathered back.
+        """
         out = np.zeros_like(c)
-        if self.cfg.convection and np.any(c):
-            u = SpectralField(lat, c, solenoidal=True)
-            conv = nonlinear.convect(u, u)
-            out -= np.where(self.ball, conv.coeffs, 0.0)
-        out += np.where(self.ball, c * self.corrector_mult, 0.0)
+        if self.cfg.convection:
+            for path in np.ndindex(c.shape[:-2]):
+                if np.any(c[path]):
+                    u = SpectralField(self.lattice, self.unpack(c[path]), solenoidal=True)
+                    out[path] -= self.pack(nonlinear.convect(u, u).coeffs)
+        out += c * self.corrector_mult
         return out
 
-    def drift(self, c: np.ndarray) -> np.ndarray:
-        return self.explicit_drift(c) - self.cfg.nu * self.visc * c
+    def noise_sum(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """sum_k diffusion_k(u) dW_k: one diagonal multiply plus the additive fields.
 
-    def noise_sum(self, c: np.ndarray, dw_row: np.ndarray) -> np.ndarray:
-        """sum_k diffusion_k(u) dW_k: one diagonal multiply plus the additive fields."""
+        c is (..., dim, n_ball) and dw (..., n_wiener) with the same leading
+        shape. An exactly zero increment adds no term to its path, and a path
+        with no term gets zeros, so every path sums exactly what it would
+        alone.
+        """
         sys_ = self.system
-        lin = 0.0
-        diag_im = None
-        acc = None
+        col = dw.shape[:-1] + (1,)
+        diag_im = np.zeros(col[:-1] + self.ksq.shape)
         for phase, k_index in zip(self.xi_phase, sys_.xi.index_set):
-            dw = float(dw_row[k_index])
-            if dw == 0.0:
-                continue
-            if diag_im is None:
-                diag_im = (-dw) * phase
-            else:
-                diag_im -= dw * phase
+            diag_im -= dw[..., k_index, None] * phase
+        lin = np.zeros(col)
         if sys_.g.variant == "linear":
             for pos, k_index in enumerate(sys_.g.index_set):
-                lin += float(dw_row[k_index]) * sys_.g.coefficients[pos]
-        elif sys_.g.variant == "additive":
-            for pos, k_index in enumerate(sys_.g.index_set):
-                dw = float(dw_row[k_index])
-                if dw == 0.0:
-                    continue
-                contrib = dw * self.additive_hat[pos]
-                acc = contrib if acc is None else acc + contrib
-        if diag_im is not None:
-            term = c * (lin + 1j * diag_im)
-        elif lin != 0.0:
-            term = c * lin
-        else:
-            term = None
-        if term is None and acc is None:
-            return np.zeros_like(c)
-        if term is None:
-            return acc
-        return term if acc is None else term + acc
+                lin += dw[..., k_index, None] * sys_.g.coefficients[pos]
+        # lin + 1j * d is lin + 0j for d = +0 and -0 alike, so a zero increment
+        # changes no bit of the product; a path with no nonzero transport
+        # increment and lin == 0 has no term and gets zeros, not c * 0
+        live = np.any(dw[..., list(sys_.xi.index_set)] != 0.0, axis=-1, keepdims=True)
+        has_term = (live | (lin != 0.0))[..., None]
+        out = np.where(has_term, c * (lin + 1j * diag_im)[..., None, :], 0.0)
+        if sys_.g.variant == "additive":
+            # -0.0 + x is x bitwise: each path's sum starts at its first live field
+            acc = np.full(c.shape, complex(-0.0, -0.0))
+            has_acc = np.zeros_like(has_term)
+            for sigma, k_index in zip(self.additive_hat, sys_.g.index_set):
+                dwk = dw[..., k_index, None, None]
+                acc = np.where(dwk != 0.0, acc + dwk * sigma, acc)
+                has_acc |= dwk != 0.0
+            out = np.where(has_acc, np.where(has_term, out + acc, acc), out)
+        return out
 
-    def step_coeffs(self, c: np.ndarray, dw_row: np.ndarray) -> np.ndarray:
+    # -- one step -------------------------------------------------------------
+
+    def advance(self, c: np.ndarray, dw: np.ndarray,
+                phi: float) -> tuple[np.ndarray, dict, np.ndarray]:
+        """One exponential Euler-Maruyama step of every path in the stack c.
+
+        dw holds one increment row per path, phi is the Gevrey width at the
+        new time. Returns the new coefficients, their observables (arrays of
+        the batch shape) and, per path, what turned non-finite: "coefficient",
+        else the names of the non-finite observables, else "".
+        """
         pre = c + self.cfg.dt * self.explicit_drift(c)
-        if self.system.n_wiener and dw_row.size:
-            pre += self.noise_sum(c, dw_row)
-        return self.decay * pre  # decay is zero off the Galerkin ball
+        if self.system.n_wiener:
+            pre += self.noise_sum(c, dw)
+        c_new = self.decay * pre
+        coeff_ok = np.isfinite(c_new).all(axis=(-2, -1))
+        obs = self.observables(c_new, phi)
+        finite = {name: np.isfinite(value) for name, value in obs.items()}
+        bad = np.full(coeff_ok.shape, "", dtype=object)
+        if not (coeff_ok.all() and all(f.all() for f in finite.values())):
+            for path in np.ndindex(bad.shape):
+                names = [name for name, f in finite.items() if not f[path]]
+                bad[path] = "coefficient" if not coeff_ok[path] else ", ".join(names)
+        return c_new, obs, bad
 
     # -- scalar observables ---------------------------------------------------
 
-    def observables(self, c: np.ndarray, phi: float) -> dict[str, float]:
-        """Squared norms of a state supported on the ball, summed over the ball."""
-        cb = np.take(c.reshape(c.shape[0], -1), self.ball_index, axis=1)
-        mod = np.sum(cb.real**2 + cb.imag**2, axis=0)
+    def observables(self, c: np.ndarray, phi: float) -> dict:
+        """Squared norms of packed states, summed over the ball per path."""
+        mod = np.sum(c.real**2 + c.imag**2, axis=-2)
         h1 = self.w_h1_ball * mod
         h2 = self.w_h2_ball * mod
-        obs = {"l2_sq": float(np.sum(self.w_l2_ball * mod)),
-               "h1_sq": float(np.sum(h1)),
-               "h2_sq": float(np.sum(h2))}
+        obs = {"l2_sq": np.sum(self.w_l2_ball * mod, axis=-1),
+               "h1_sq": np.sum(h1, axis=-1),
+               "h2_sq": np.sum(h2, axis=-1)}
         if phi == 0.0:
             obs["gevrey_h1_sq"], obs["gevrey_h2_sq"] = obs["h1_sq"], obs["h2_sq"]
         else:
             gev = np.exp((2.0 * phi) * self.root_ball)
-            obs["gevrey_h1_sq"] = float(np.sum(h1 * gev))
-            obs["gevrey_h2_sq"] = float(np.sum(h2 * gev))
+            obs["gevrey_h1_sq"] = np.sum(h1 * gev, axis=-1)
+            obs["gevrey_h2_sq"] = np.sum(h2 * gev, axis=-1)
         return obs
 
 
@@ -262,22 +307,17 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
     """One step; returns the new state and its observables (reusable by the
     caller as the next step's obs_now to avoid recomputation)."""
     cfg = stepper.cfg
-    c = state.u.coeffs
+    c = stepper.pack(state.u.coeffs)
     if obs_now is None:
         obs_now = stepper.observables(c, cfg.phi_at(state.t))
     budget_int = state.budget_int + cfg.dt * cfg.nu * obs_now["gevrey_h2_sq"]
     h2_int = state.h2_int + cfg.dt * obs_now["h2_sq"]
 
-    c_new = stepper.step_coeffs(c, dw_row)
-    if not np.all(np.isfinite(c_new.view(np.float64))):
-        raise NonFiniteError(f"non-finite coefficient at t={state.t + cfg.dt:.6g} "
-                             f"(step {state.step + 1})")
     t_new = state.t + cfg.dt
     step_new = state.step + 1
-    obs_new = stepper.observables(c_new, cfg.phi_at(t_new))
-    bad = [name for name, value in obs_new.items() if not math.isfinite(value)]
-    if bad:
-        raise NonFiniteError(f"non-finite {', '.join(bad)} at t={t_new:.6g} (step {step_new})")
+    c_new, obs_new, bad = stepper.advance(c, dw_row, cfg.phi_at(t_new))
+    if bad[()]:
+        raise NonFiniteError(f"non-finite {bad[()]} at t={t_new:.6g} (step {step_new})")
     budget_sup = max(state.budget_sup, obs_new["gevrey_h1_sq"])
 
     stops = state.stops
@@ -288,7 +328,7 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
     if state.stop_for("h2") is None and h2_int >= cfg.h2_r:
         stops = stops + (StopRecord("h2", t_new, step_new, h2_int),)
 
-    u_new = SpectralField(stepper.lattice, c_new, solenoidal=True)
+    u_new = SpectralField(stepper.lattice, stepper.unpack(c_new), solenoidal=True)
     new_state = SimState(t=t_new, step=step_new, u=u_new, budget_sup=budget_sup,
                          budget_int=budget_int, h2_int=h2_int,
                          initial_h1_sq=state.initial_h1_sq, stops=stops)
@@ -301,16 +341,18 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
 def drift(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> SpectralField:
     """Full drift including the viscous term, supported on |k| <= N."""
     stepper = _Stepper(cfg, system, u.lattice)
-    c = np.where(stepper.ball, u.coeffs, 0.0)
-    return SpectralField(u.lattice, stepper.drift(c), solenoidal=True)
+    c = stepper.pack(u.coeffs)
+    out = stepper.explicit_drift(c) - cfg.nu * stepper.ksq * c
+    return SpectralField(u.lattice, stepper.unpack(out), solenoidal=True)
 
 
 def diffusion(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> list[SpectralField]:
     """One diffusion field per Wiener index: P^N P[g_k(u) - (xi_k.grad)u],
     the stepper's noise sum for the unit increment row e_k."""
     stepper = _Stepper(cfg, system, u.lattice)
-    c = np.where(stepper.ball, u.coeffs, 0.0)
-    return [SpectralField(u.lattice, stepper.noise_sum(c, e_k), solenoidal=True)
+    c = stepper.pack(u.coeffs)
+    return [SpectralField(u.lattice, stepper.unpack(stepper.noise_sum(c, e_k)),
+                          solenoidal=True)
             for e_k in np.eye(system.n_wiener)]
 
 
@@ -386,7 +428,7 @@ def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
         block = increments(path, start_step * cfg.dt, cfg.dt, remaining)
 
     states = [state]
-    obs = stepper.observables(state.u.coeffs, cfg.phi_at(state.t))
+    obs = stepper.observables(stepper.pack(state.u.coeffs), cfg.phi_at(state.t))
     series = {key: [_series_row(state, obs)[key]] for key in _SERIES_KEYS}
 
     for i in range(remaining):

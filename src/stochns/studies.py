@@ -4,7 +4,8 @@ Each engine is a pure function of a validated ExperimentConfig returning
 plain result objects; the CLI layer only serializes them. Ensembles are
 dispatched to a thread pool and reassembled in path order, so results are
 independent of the worker count (the Wiener driver is counter-based and the
-per-path work shares no mutable state).
+per-path work shares no mutable state). The linear oracle instead advances
+chunks of paths as one stack, with results independent of the chunking.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
                      weighted_inner, validate_physical)
 from .noise import validate_system
-from .sde import (NonFiniteError, StepperConfig, Trajectory, _Stepper, _advance,
+from .sde import (NonFiniteError, Trajectory, _Stepper, _advance,
                   initial_state, integrate, linear_exact, tau_r_reached)
 
 
@@ -201,14 +202,19 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
 # ---------------------------------------------------------------------------
 # linear oracle
 
+# bytes of one stacked (paths, dim, n_ball) complex array of the oracle
+_ORACLE_CHUNK_BYTES = 128 << 10
+
+
 @dataclass
 class OracleResult:
     dts: list[float]
-    strong_errors: list[float]     # ensemble mean endpoint L^2 error vs closed form
-    modulus_errors: list[float]    # ensemble mean max per-mode modulus error
-    strong_slope: float
-    modulus_slope: float
+    strong_errors: list[float]     # mean over finite paths, endpoint L^2 error vs closed form
+    modulus_errors: list[float]    # mean over finite paths, max per-mode modulus error
+    strong_slope: float | None     # None when no path stayed finite
+    modulus_slope: float | None
     machine_precision: bool        # xi = 0 degenerate case
+    nonfinite: dict = field(default_factory=dict)   # path index -> what turned non-finite
 
 
 def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
@@ -218,6 +224,12 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     coupled across dt levels by Brownian-bridge refinement of the base
     increments. The endpoint Wiener value is level-independent because
     refinement preserves block sums.
+
+    Paths run in chunks sized by `_ORACLE_CHUNK_BYTES`: a chunk draws and
+    refines its paths' increments and advances them as one packed stack per
+    dt level. Each path's arithmetic does not depend on the chunk, so the
+    results do not either; `ensemble.workers` is not used. A path that
+    turns non-finite at any level is recorded and left out of the means.
     """
     if config["physics.convection"]:
         raise ConfigError("linear oracle requires physics.convection = false")
@@ -227,39 +239,52 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     if len(system.xi.index_set) != 1:
         raise ConfigError("linear oracle requires exactly one constant transport vector")
     xi_vec = np.asarray(system.xi.vectors[0])
-    cutoff = config["galerkin.n_ref"]
     nu = config["physics.nu"]
     t_end = config["physics.t_end"]
     dt0 = config["physics.dt"]
     levels = config["oracle.refinements"] + 1
     dts = [dt0 / 2**lvl for lvl in range(levels)]
     n_paths = config["ensemble.n_paths"]
+    steppers = [_Stepper(dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
+                                             dt=dt), system, lattice) for dt in dts]
+    u_start = initial_state(u0, steppers[0].cfg).u
+    c_start = steppers[0].pack(u_start.coeffs)
+    heat = np.abs(linear_exact(u_start, xi_vec, nu, 0.0, t_end).coeffs)
+    chunk = max(1, _ORACLE_CHUNK_BYTES // (16 * c_start.size))
 
-    def worker(path_index: int):
-        path = config.path_spec(path_index, system.n_wiener)
-        block = increments(path, 0.0, dt0, int(round(t_end / dt0)))
-        strong = np.zeros(levels)
-        modulus = np.zeros(levels)
-        for lvl in range(levels):
-            cfg = StepperConfig(
-                nu=nu, dt=dts[lvl], t_end=t_end, cutoff=cutoff,
-                gevrey=config.gevrey_weight(), phi_cap=config["gevrey.phi_cap"],
-                budget_m=config["monitors.budget_m"], h2_r=config["monitors.h2_r"],
-                convection=False, k0=config["initial.k0"])
-            traj = integrate(cfg, system, path, u0, store_every=10**9,
-                             driving=block, check_stability=False)
-            w_end = float(block.increments[:, 0].sum())
-            exact = linear_exact(traj.states[0].u, xi_vec, nu, w_end, t_end)
-            strong[lvl] = math.sqrt(sobolev_norm_sq(traj.final.u - exact, 0.0))
-            heat = np.abs(linear_exact(traj.states[0].u, xi_vec, nu, 0.0, t_end).coeffs)
-            modulus[lvl] = float(np.abs(np.abs(traj.final.u.coeffs) - heat).max())
-            if lvl + 1 < levels:
-                block = refine(block, 2)
-        return strong, modulus
+    strong = np.zeros((n_paths, levels))
+    modulus = np.zeros((n_paths, levels))
+    nonfinite: dict = {}
+    for first in range(0, n_paths, chunk):
+        paths = range(first, min(first + chunk, n_paths))
+        blocks = [increments(config.path_spec(i, system.n_wiener), 0.0, dt0,
+                             steppers[0].cfg.n_steps) for i in paths]
+        for lvl, stepper in enumerate(steppers):
+            if lvl:
+                blocks = [refine(block, 2) for block in blocks]
+            dw = np.stack([block.increments for block in blocks])
+            c = np.repeat(c_start[None], len(paths), axis=0)
+            t = 0.0
+            for i in range(dw.shape[1]):
+                t += stepper.cfg.dt
+                c, _, bad = stepper.advance(c, dw[:, i], stepper.cfg.phi_at(t))
+                for p in np.flatnonzero(bad != ""):
+                    nonfinite.setdefault(paths[p], f"non-finite {bad[p]} at t={t:.6g} "
+                                                   f"(step {i + 1}, dt={stepper.cfg.dt:g})")
+                    c[p] = 0.0   # the path is excluded; keep its row finite
+            for p, path_index in enumerate(paths):
+                final = u_start.with_coeffs(stepper.unpack(c[p]))
+                w_end = float(blocks[p].increments[:, 0].sum())
+                exact = linear_exact(u_start, xi_vec, nu, w_end, t_end)
+                strong[path_index, lvl] = math.sqrt(sobolev_norm_sq(final - exact, 0.0))
+                modulus[path_index, lvl] = float(np.abs(np.abs(final.coeffs) - heat).max())
 
-    results = _run_indexed(worker, n_paths, config["ensemble.workers"])
-    strong = np.mean([r[0] for r in results], axis=0)
-    modulus = np.mean([r[1] for r in results], axis=0)
+    usable = [i for i in range(n_paths) if i not in nonfinite]
+    if not usable:
+        return OracleResult(dts=dts, strong_errors=[], modulus_errors=[], strong_slope=None,
+                            modulus_slope=None, machine_precision=False, nonfinite=nonfinite)
+    strong = np.mean(strong[usable], axis=0)
+    modulus = np.mean(modulus[usable], axis=0)
     eps_scale = 1e-12 * math.sqrt(sobolev_norm_sq(u0, 0.0))
     machine = bool(np.all(strong < eps_scale))
     if machine:
@@ -269,7 +294,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
         m_slope = float(np.polyfit(np.log(dts), np.log(np.maximum(modulus, 1e-300)), 1)[0])
     return OracleResult(dts=dts, strong_errors=list(strong), modulus_errors=list(modulus),
                         strong_slope=s_slope, modulus_slope=m_slope,
-                        machine_precision=machine)
+                        machine_precision=machine, nonfinite=nonfinite)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochns import studies
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
+from stochns.config import default_oracle_config
+from stochns.lattice import build_lattice
 from stochns.snapshots import sha256_file
 
 TINY = {
@@ -140,6 +143,45 @@ def test_linear_oracle_zero_xi_machine_precision(tmp_path):
     assert main(["linear-oracle", "--config", str(cfg), "--out", str(out)]) == 0
     record = json.loads((out / "run_record.json").read_text())
     assert record["machine_precision"] is True
+
+
+def _oracle_config_file(tmp_path, name, **overrides):
+    data = default_oracle_config(**overrides).data
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_linear_oracle_identical_across_chunkings(tmp_path, monkeypatch):
+    # 5 paths, 2 dt levels: chunks of one path, of two (uneven), and the default
+    cfg = _oracle_config_file(tmp_path, "oracle", physics={"t_end": 0.1},
+                              ensemble={"n_paths": 5, "workers": 3},
+                              oracle={"refinements": 1})
+    path_bytes = 16 * 2 * int(build_lattice(2, 32).ball_mask(8).sum())
+    outputs = []
+    for budget in (1, 2 * path_bytes, studies._ORACLE_CHUNK_BYTES):
+        monkeypatch.setattr(studies, "_ORACLE_CHUNK_BYTES", budget)
+        out = tmp_path / f"chunk{budget}"
+        assert main(["linear-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "run_record.json").read_text())["nonfinite_paths"] == []
+        outputs.append((out / "oracle.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linear_oracle_nonfinite_paths_exit_4(tmp_path, capsys):
+    # |xi| = 40: the explicit step amplifies the k_1 != 0 modes every step,
+    # and every path overflows at step 65
+    cfg = _oracle_config_file(tmp_path, "blow", ensemble={"n_paths": 2},
+                              oracle={"refinements": 1},
+                              noise={"transport": {"vectors": [[40.0, 0.0]]}})
+    out = tmp_path / "blow"
+    assert main(["linear-oracle", "--config", str(cfg), "--out", str(out)]) == 4
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["nonfinite_paths"] == [0, 1]
+    assert record["strong_slope"] is None
+    assert (out / "oracle.csv").read_text() == "dt,strong_error,modulus_error\n"
+    assert "path 1 aborted (non-finite" in capsys.readouterr().err
 
 
 def test_decay_study_smoke(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import full_grid_k, full_spectrum, smooth_field, transport_system
 from stochns.brownian import PathSpec, increments
+from stochns.cli import main
 from stochns.config import ConfigError, ExperimentConfig, default_oracle_config
 from stochns.fields import random_h1_field
 from stochns.sde import integrate
@@ -37,6 +38,25 @@ def test_unknown_keys_rejected():
 def test_validation_errors(overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         ExperimentConfig.default(**overrides)
+
+
+@pytest.mark.parametrize("drop,msg", [
+    (("gevrey",), "at top level: \\['gevrey'\\]"),
+    (("physics", "dt"), "section 'physics': \\['dt'\\]"),
+    (("noise", "multiplicative", "coefficients"),
+     "section 'noise.multiplicative': \\['coefficients'\\]"),
+], ids=["section", "key", "variant-key"])
+def test_missing_config_key_is_config_error(tmp_path, drop, msg):
+    data = ExperimentConfig.default().data
+    node = data
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=msg):
+        ExperimentConfig.from_file(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_phi_cap_beyond_double_range_rejected():

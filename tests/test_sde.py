@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from conftest import smooth_field, transport_system
 from stochns import studies
-from stochns.brownian import PathSpec, increments
-from stochns.config import ExperimentConfig, default_decay_config
+from stochns.brownian import PathSpec, increments, refine
+from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
 from stochns.fields import (GevreyWeight, SpectralField, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer,
                             validate_physical, zero_field)
@@ -97,10 +98,13 @@ def test_diffusion_transport_multiplier(lat32, xi_system):
 
 
 def _additive_xi_system(lat):
-    sigmas = [solenoidal_mode_field(lat, (1, 0), 0.3), solenoidal_mode_field(lat, (1, 2), 0.2)]
+    pad = (0,) * (lat.dim - 2)
+    sigmas = [solenoidal_mode_field(lat, (1, 0) + pad, 0.3),
+              solenoidal_mode_field(lat, (1, 2) + pad, 0.2)]
+    vectors = [np.array([0.6, 0.0] + [0.0] * len(pad)),
+               np.array([-0.3, -0.5] + [0.2] * len(pad))]
     system = NoiseSystem(g=MultiplicativeNoise.additive(sigmas, [0, 1]),
-                         xi=TransportNoise.constant([np.array([0.6, 0.0]),
-                                                     np.array([-0.3, 0.5])], [2, 3]),
+                         xi=TransportNoise.constant(vectors, [2, 3]),
                          n_wiener=4)
     system, report = validate_system(system, lat, GevreyWeight(s=1, r=1, phi=0.0))
     assert system.validated, report.summary()
@@ -118,10 +122,98 @@ def test_diffusion_sums_to_the_stepper_noise_sum(lat32, g_kind):
     u = smooth_field(lat32, seed=21)
     dw = 0.03 * np.random.default_rng(5).standard_normal(system.n_wiener)
     stepper = _Stepper(cfg, system, lat32)
-    expected = stepper.noise_sum(np.where(stepper.ball, u.coeffs, 0.0), dw)
+    expected = stepper.unpack(stepper.noise_sum(stepper.pack(u.coeffs), dw))
     total = sum(dw[k] * f.coeffs for k, f in enumerate(diffusion(u, cfg, system)))
     assert np.abs(expected).max() > 0.0
     assert np.abs(total - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+# ---------------------------------------------------------------------------
+# batched stepping on the packed ball
+
+def _noise_sum_reference(stepper, c, dw_row):
+    """The single-path noise sum as a plain loop: a zero increment adds no
+    term, and a path without terms gets zeros."""
+    sys_ = stepper.system
+    diag_im = acc = None
+    lin = 0.0
+    for phase, k_index in zip(stepper.xi_phase, sys_.xi.index_set):
+        dw = float(dw_row[k_index])
+        if dw != 0.0:
+            diag_im = (-dw) * phase if diag_im is None else diag_im - dw * phase
+    if sys_.g.variant == "linear":
+        for pos, k_index in enumerate(sys_.g.index_set):
+            lin += float(dw_row[k_index]) * sys_.g.coefficients[pos]
+    elif sys_.g.variant == "additive":
+        for pos, k_index in enumerate(sys_.g.index_set):
+            dw = float(dw_row[k_index])
+            if dw != 0.0:
+                contrib = dw * stepper.additive_hat[pos]
+                acc = contrib if acc is None else acc + contrib
+    term = (c * (lin + 1j * diag_im) if diag_im is not None
+            else c * lin if lin != 0.0 else None)
+    if term is None:
+        return np.zeros_like(c) if acc is None else acc
+    return term if acc is None else term + acc
+
+
+def _batch_system(lat, g_kind):
+    if g_kind == "additive":
+        return _additive_xi_system(lat)
+    pad = [0.0] * (lat.dim - 2)
+    return transport_system(lat, [np.array([0.8, 0.0] + pad), np.array([-0.3, -0.5] + pad)],
+                            g_coeffs=[0.2, -0.1])
+
+
+@pytest.mark.parametrize("g_kind", ["linear", "additive"])
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
+    lat = build_lattice(dim, grid)
+    system = _batch_system(lat, g_kind)
+    stepper = _Stepper(make_cfg(cutoff=cutoff), system, lat)
+    c = np.stack([stepper.pack(smooth_field(lat, seed=s).coeffs) for s in range(4)])
+    # increments 0-1 drive g, 2-3 transport; the first vector's phase is +0
+    # at k_1 = 0, where the second's is negative, so a zero sum or a skipped
+    # zero term shows in the sign of zero results
+    dw = 0.03 * np.random.default_rng(8).standard_normal((4, system.n_wiener))
+    dw[:, 2] = np.abs(dw[:, 2])
+    dw[1, [0, 3]] = 0.0   # a zero increment of g and of a transport term
+    dw[2] = 0.0           # no noise term at all
+    c_new, obs, bad = stepper.advance(c, dw, 0.2)
+    assert c_new.shape == c.shape == (4, dim, stepper.ball_index.size)
+    for p in range(4):
+        noise = stepper.noise_sum(c[p], dw[p])
+        assert noise.tobytes() == stepper.noise_sum(c, dw)[p].tobytes()
+        assert noise.tobytes() == _noise_sum_reference(stepper, c[p], dw[p]).tobytes()
+        c_p, obs_p, bad_p = stepper.advance(c[p], dw[p], 0.2)
+        assert c_new[p].tobytes() == c_p.tobytes()
+        for name, value in obs.items():
+            assert value[p].tobytes() == obs_p[name].tobytes(), name
+        assert bad[p] == bad_p[()] == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_advance_flags_nonfinite_rows_only(lat32, off_system):
+    stepper = _Stepper(make_cfg(cutoff=4, convection=False), off_system, lat32)
+    good = stepper.pack(smooth_field(lat32, seed=4).coeffs)
+    huge = stepper.pack(single_mode_field(lat32, (1, 0), (0.0, 1e200)).coeffs)
+    broken = good.copy()
+    broken[0, 0] = np.nan
+    c_new, _, bad = stepper.advance(np.stack([good, huge, broken, good]),
+                                    np.zeros((4, 0)), 0.1)
+    assert list(bad) == ["", "l2_sq, h1_sq, h2_sq, gevrey_h1_sq, gevrey_h2_sq",
+                         "coefficient", ""]
+    alone = stepper.advance(good, np.zeros(0), 0.1)[0]
+    assert c_new[0].tobytes() == c_new[3].tobytes() == alone.tobytes()
+
+
+def test_pack_unpack_round_trip(lat3d):
+    stepper = _Stepper(make_cfg(cutoff=5), transport_system(lat3d, []), lat3d)
+    u = smooth_field(lat3d, seed=6)
+    packed = stepper.pack(u.coeffs)
+    assert packed.shape == (3, int(lat3d.ball_mask(5).sum()))
+    np.testing.assert_array_equal(stepper.unpack(packed),
+                                  np.where(lat3d.ball_mask(5), u.coeffs, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +515,68 @@ def test_overflowing_convection_raises(lat32, off_system):
     state = initial_state(u, cfg)
     with pytest.raises(NonFiniteError, match="non-finite coefficient"):
         step(state, cfg, off_system, np.zeros(0))
+
+
+# ---------------------------------------------------------------------------
+# linear oracle: chunks of paths against one integration per path and level
+
+def _oracle_reference(config):
+    """Per-path strong and modulus errors of the linear oracle, by one
+    `integrate` call per path and dt level."""
+    _, system, u0, _ = studies.prepare(config)
+    xi = np.asarray(system.xi.vectors[0])
+    nu, t_end, dt0 = config["physics.nu"], config["physics.t_end"], config["physics.dt"]
+    levels = config["oracle.refinements"] + 1
+    n_paths = config["ensemble.n_paths"]
+    strong, modulus = np.zeros((n_paths, levels)), np.zeros((n_paths, levels))
+    for i in range(n_paths):
+        path = config.path_spec(i, system.n_wiener)
+        block = increments(path, 0.0, dt0, round(t_end / dt0))
+        for lvl in range(levels):
+            cfg = dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
+                                      dt=dt0 / 2**lvl)
+            traj = integrate(cfg, system, path, u0, store_every=10**9, driving=block,
+                             check_stability=False)
+            start, final = traj.states[0].u, traj.final.u
+            exact = linear_exact(start, xi, nu, float(block.increments[:, 0].sum()), t_end)
+            strong[i, lvl] = math.sqrt(sobolev_norm_sq(final - exact, 0.0))
+            heat = np.abs(linear_exact(start, xi, nu, 0.0, t_end).coeffs)
+            modulus[i, lvl] = float(np.abs(np.abs(final.coeffs) - heat).max())
+            if lvl + 1 < levels:
+                block = refine(block, 2)
+    return strong, modulus
+
+
+def _small_oracle_config():
+    return default_oracle_config(physics={"t_end": 0.1}, ensemble={"n_paths": 3},
+                                 oracle={"refinements": 2})
+
+
+def test_linear_oracle_chunks_match_per_path_integration():
+    config = _small_oracle_config()
+    strong, modulus = _oracle_reference(config)
+    result = studies.linear_oracle_study(config)
+    assert result.nonfinite == {}
+    assert result.strong_errors == list(np.mean(strong, axis=0))
+    assert result.modulus_errors == list(np.mean(modulus, axis=0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linear_oracle_averages_finite_paths_only(monkeypatch):
+    # a NaN increment at the second dt level makes path 1 non-finite there
+    def refine_nan(block, factor):
+        fine = refine(block, factor)
+        if block.spec.path_index != 1:
+            return fine
+        dw = fine.increments.copy()
+        dw[3, 0] = np.nan
+        return dataclasses.replace(fine, increments=dw)
+
+    config = _small_oracle_config()
+    strong, modulus = _oracle_reference(config)
+    monkeypatch.setattr(studies, "refine", refine_nan)
+    result = studies.linear_oracle_study(config)
+    assert list(result.nonfinite) == [1]
+    assert result.nonfinite[1] == "non-finite coefficient at t=0.01 (step 4, dt=0.0025)"
+    assert result.strong_errors == list(np.mean(strong[[0, 2]], axis=0))
+    assert result.modulus_errors == list(np.mean(modulus[[0, 2]], axis=0))
