@@ -124,32 +124,20 @@ def require_same_lattice(f: SpectralField, g: SpectralField) -> None:
 # projectors and multipliers
 
 @lru_cache(maxsize=64)
-def _leray_arrays(lattice: WaveLattice, cols: int) -> tuple[np.ndarray, ...]:
-    """Cached (k, k/|k|^2, active-mask float) arrays of the Leray multiplier on
-    the leading `cols` columns of the last axis, contiguous."""
-    cut = (..., slice(cols))
-    k = np.ascontiguousarray(lattice.k[cut])
-    k_over_ksq = k / np.where(lattice.ksq > 0, lattice.ksq, 1).astype(np.float64)[cut]
-    act = lattice.active[cut].astype(np.float64)
-    for arr in (k, k_over_ksq, act):
+def _leray_arrays(lattice: WaveLattice) -> tuple[np.ndarray, ...]:
+    """Cached (k/|k|^2, active-mask float) arrays of the Leray multiplier."""
+    k_over_ksq = lattice.k / np.where(lattice.ksq > 0, lattice.ksq, 1).astype(np.float64)
+    act = lattice.active.astype(np.float64)
+    for arr in (k_over_ksq, act):
         arr.flags.writeable = False
-    return k, k_over_ksq, act
-
-
-def _leray_raw(lattice: WaveLattice, coeffs: np.ndarray) -> np.ndarray:
-    """Leray multiplier without the active-mask pass (inputs already masked).
-
-    coeffs may hold only the leading columns of the last axis, such as the
-    dealiased columns of a product spectrum.
-    """
-    k, k_over_ksq, _ = _leray_arrays(lattice, coeffs.shape[-1])
-    return coeffs - k_over_ksq * np.einsum("j...,j...->...", k, coeffs)
+    return k_over_ksq, act
 
 
 def leray_project(f: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: u_hat -> u_hat - k (k.u_hat)/|k|^2."""
     lat = f.lattice
-    out = _leray_raw(lat, f.coeffs) * _leray_arrays(lat, lat.shape[-1])[2]
+    k_over_ksq, act = _leray_arrays(lat)
+    out = (f.coeffs - k_over_ksq * np.einsum("j...,j...->...", lat.k, f.coeffs)) * act
     return f.with_coeffs(out, solenoidal=True)
 
 

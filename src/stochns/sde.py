@@ -161,6 +161,9 @@ class _Stepper:
         self.system = system
         self.lattice = lattice
         self.ball_index = np.flatnonzero(lattice.ball_mask(cfg.cutoff))
+        # convect reads and writes the packed ball in ball_index order too
+        self.convect_plan = (nonlinear.convect_plan(lattice, cfg.cutoff)
+                             if cfg.convection else None)
         # the ball of every component in the flattened (dim,) + lattice.shape
         n_half = int(np.prod(lattice.shape))
         self._component_index = (np.arange(lattice.dim)[:, None] * n_half
@@ -212,15 +215,15 @@ class _Stepper:
     def explicit_drift(self, c: np.ndarray) -> np.ndarray:
         """Drift without the viscous term: -P^N P((u.grad)u) + Ito corrector.
 
-        Convection is the one stage off the ball: each path is scattered
-        into a zeroed half grid for `convect` and its result gathered back.
+        Convection is the one stage off the ball: `convect` takes each packed
+        path through the grid and returns it packed.
         """
         out = np.zeros_like(c)
         if self.cfg.convection:
             for path in np.ndindex(c.shape[:-2]):
-                if np.any(c[path]):
-                    u = SpectralField(self.lattice, self.unpack(c[path]), solenoidal=True)
-                    out[path] -= self.pack(nonlinear.convect(u, u).coeffs)
+                u = c[path]  # one object for both arguments: the symmetric path
+                if np.any(u):
+                    out[path] -= nonlinear.convect(u, u, self.convect_plan)
         out += c * self.corrector_mult
         return out
 

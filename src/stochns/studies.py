@@ -116,7 +116,7 @@ class DecayResult:
     cutoffs: list[int]
     n_ref: int
     outcomes: list[DecayPathOutcome]
-    mean_errors: list[float]
+    mean_errors: list[float]   # per cutoff; empty when no path stayed finite
     std_errors: list[float]
     fit: diagnostics.FitResult | None
 
@@ -184,13 +184,13 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     outcomes = _run_indexed(worker, config["ensemble.n_paths"], config["ensemble.workers"])
     usable = [o for o in outcomes if not o.nonfinite]
     mean_errors, std_errors = [], []
-    for n in cutoffs:
+    for n in cutoffs if usable else ():   # no finite path: no means, no fit
         vals = [o.errors_sq[n] for o in usable]
         mean, se = diagnostics.ensemble_mean(vals) if len(vals) >= 2 else (vals[0], 0.0)
         mean_errors.append(mean)
         std_errors.append(se)
     fit = None
-    if all(e > 0 for e in mean_errors):
+    if mean_errors and all(e > 0 for e in mean_errors):
         try:
             fit = diagnostics.fit_exp_rate(cutoffs, mean_errors)
         except diagnostics.FitRefusedError:

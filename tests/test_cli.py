@@ -264,6 +264,30 @@ def test_nonfinite_path_recorded_exit_4(tmp_path):
     assert record["paths"]["0"]["nonfinite"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decay_study_all_paths_nonfinite_exit_4(tmp_path):
+    # the blow-up above on a decay grid: both paths overflow, so there is no
+    # mean to take and no fit; the data files keep only their headers
+    cfg = write_config(tmp_path, {
+        "lattice": {"dim": 2, "grid_n": 20},
+        "galerkin": {"cutoffs": [1, 2, 3], "n_ref": 6},
+        "physics": {"nu": 1e-9, "t_end": 40.0, "dt": 1.0, "convection": True},
+        "initial": {"beta": 2.2, "k0": 4.0, "seed": 2024},
+        "noise": {
+            "multiplicative": {"variant": "zero", "coefficients": [], "index_set": []},
+            "transport": {"variant": "constant", "amplitude": 0.0, "count": 0,
+                          "index_set": []},
+        },
+        "ensemble": {"n_paths": 2, "workers": 1, "master_seed": 9001}}, "blow.json")
+    out = tmp_path / "blow"
+    assert main(["decay-study", "--config", str(cfg), "--out", str(out)]) == 4
+    record = json.loads((out / "run_record.json").read_text())
+    assert record["nonfinite_paths"] == [0, 1]
+    assert record["fit"] is None
+    assert (out / "decay.csv").read_text() == "N,mean_error,SE\n"
+    assert (out / "decay_paths.csv").read_text() == "path,N,error_sq,stop_time,ref_tail_sq\n"
+
+
 def test_increment_dump_requested(tmp_path):
     cfg = write_config(tmp_path, {
         "outputs": {"directory": "out", "formats": ["csv", "json"],

@@ -3,12 +3,12 @@ import pytest
 
 from conftest import full_grid_k, full_spectrum, smooth_field
 from stochns.fields import (GevreyWeight, LatticeMismatchError, SpectralField,
-                            l2_inner, single_mode_field, sobolev_norm,
-                            sobolev_norm_sq, validate_physical, weighted_inner,
-                            zero_field)
-from stochns.lattice import build_lattice
-from stochns.nonlinear import (convect, dealias, from_physical, ito_corrector,
-                               to_physical, transport)
+                            galerkin_project, l2_inner, random_field,
+                            single_mode_field, sobolev_norm, sobolev_norm_sq,
+                            validate_physical, weighted_inner, zero_field)
+from stochns.lattice import build_lattice, galerkin_grid
+from stochns.nonlinear import (convect, convect_plan, dealias, from_physical,
+                               ito_corrector, to_physical, transport)
 
 
 def shear_field(lattice):
@@ -148,6 +148,61 @@ def test_convect_output_hermitian_and_dealiased(dim, grid):
         rebuilt = full_spectrum(out)[..., :grid // 2 + 1]
         assert np.abs(rebuilt - out.coeffs).max() <= 1e-15 * scale
         assert np.all(out.coeffs[:, ~lat.dealias_mask] == 0.0)
+
+
+def unpruned_reference(lat, u_half, v_half):
+    """P div(u (x) v) with numpy's full irfftn/rfftn on the whole half grid,
+    the dealias mask applied to the product spectrum: the transforms that
+    `convect` prunes, done in full."""
+    axes = tuple(range(-lat.dim, 0))
+    u = np.fft.irfftn(u_half, s=lat.grid_shape, axes=axes)
+    v = np.fft.irfftn(v_half, s=lat.grid_shape, axes=axes)
+    prod_hat = np.fft.rfftn(u[:, None] * v[None], axes=axes) * lat.n_modes
+    k = lat.k.astype(np.float64)
+    out = np.where(lat.dealias_mask, np.einsum("j...,jm...->m...", 1j * k, prod_hat), 0.0)
+    return out - k * np.einsum("j...,j...->...", k, out) / np.maximum(lat.ksq, 1)
+
+
+def ball_field(lat, cutoff, seed):
+    """Solenoidal field on the whole Galerkin ball, not dealiased first."""
+    f = random_field(lat, np.random.default_rng(seed), envelope=lambda k: np.exp(-0.3 * k))
+    return galerkin_project(f, cutoff)
+
+
+@pytest.mark.parametrize("dim,grid,cutoff", [
+    (2, 100, 32), (2, galerkin_grid(32), 32), (3, 16, 4), (2, 100, None), (3, 16, None)],
+    ids=["2d-100-ball32", "2d-galerkin-ball32", "3d-16-ball4", "2d-100-field", "3d-16-field"])
+@pytest.mark.parametrize("same", [True, False], ids=["u-is-v", "u-not-v"])
+def test_pruned_convect_matches_unpruned_transforms(dim, grid, cutoff, same):
+    lat = build_lattice(dim, grid)
+    if cutoff is None:   # SpectralFields: whole active set in, dealias mask out
+        u = smooth_field(lat, seed=19, delta=0.3)
+        v = u if same else smooth_field(lat, seed=20, delta=0.3)
+        out = convect(u, v).coeffs
+        ref = unpruned_reference(lat, u.coeffs, v.coeffs)
+    else:                # packed Galerkin balls, as the stepper calls it
+        u = ball_field(lat, cutoff, seed=19)
+        v = u if same else ball_field(lat, cutoff, seed=20)
+        plan = convect_plan(lat, cutoff)
+        cu = plan.pack(u.coeffs)
+        out = plan.unpack(convect(cu, cu if same else plan.pack(v.coeffs), plan))
+        ref = np.where(lat.ball_mask(cutoff), unpruned_reference(lat, u.coeffs, v.coeffs), 0.0)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_ball_modes_outside_dealias_mask_get_no_convection():
+    # grid == 3 N: the ball's axis modes |k_i| = N fail the 2/3 mask
+    lat = build_lattice(3, 48)
+    plan = convect_plan(lat, 16)
+    outside = (lat.ball_mask(16) & ~lat.dealias_mask).ravel()[plan.out_index]
+    assert outside.any()
+    cu = plan.pack(ball_field(lat, 16, seed=21).coeffs)
+    assert np.all(np.abs(cu[:, outside]).max(axis=0) > 0.0)   # they do hold input
+    out = convect(cu, cu, plan)
+    assert np.all(out[:, outside] == 0.0)
+    ref = unpruned_reference(lat, plan.unpack(cu), plan.unpack(cu))
+    ref = ref.reshape(3, -1)[:, plan.out_index]
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_convect_lattice_mismatch(lat16, lat32):

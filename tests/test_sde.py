@@ -17,7 +17,7 @@ from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
 from stochns.sde import (NonFiniteError, StepperConfig, _Stepper, diffusion, drift,
                          dt_stability_bound, initial_state, integrate,
                          linear_exact, monitor_tau_R, step)
-from test_nonlinear import shear_field
+from test_nonlinear import ball_field, shear_field, unpruned_reference
 
 
 def make_cfg(cutoff=8, **kw):
@@ -214,6 +214,23 @@ def test_pack_unpack_round_trip(lat3d):
     assert packed.shape == (3, int(lat3d.ball_mask(5).sum()))
     np.testing.assert_array_equal(stepper.unpack(packed),
                                   np.where(lat3d.ball_mask(5), u.coeffs, 0.0))
+
+
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 100, 32), (3, 16, 4), (3, 48, 16)],
+                         ids=["2d-100-ball32", "3d-16-ball4", "3d-48-ball16"])
+def test_explicit_drift_convection_matches_unpruned_transforms(dim, grid, cutoff):
+    # at 3D grid 48 = 3 N the ball's axis modes fail the dealias mask and get
+    # no convection: no drift at all with no noise, whatever the state holds
+    lat = build_lattice(dim, grid)
+    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=TransportNoise.empty(), n_wiener=0)
+    stepper = _Stepper(make_cfg(cutoff=cutoff), system, lat)
+    c = stepper.pack(ball_field(lat, cutoff, seed=22).coeffs)
+    out = stepper.explicit_drift(c)
+    ref = -stepper.pack(unpruned_reference(lat, stepper.unpack(c), stepper.unpack(c)))
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    outside = ~lat.dealias_mask.ravel()[stepper.ball_index]
+    assert outside.any() == (grid == 3 * cutoff)
+    assert np.all(out[:, outside] == 0.0)
 
 
 # ---------------------------------------------------------------------------
