@@ -153,8 +153,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
                                for t, fit in pres.radius_fits]))
         if "snapshot" in formats and not pres.nonfinite:
             rec.add(save_state(out_dir / f"state_path{i:03d}", traj.final,
-                               {"path_index": i, "cutoff": result.cutoff,
-                                "phi": traj.cfg.phi_at(traj.final.t),
+                               {"path_index": i, "phi": traj.cfg.phi_at(traj.final.t),
                                 "seed": config["ensemble.master_seed"]}))
         if config["outputs.dump_increments"]:
             block = increments(traj.path, 0.0, traj.cfg.dt, traj.cfg.n_steps)

@@ -147,6 +147,22 @@ def galerkin_project(f: SpectralField, cutoff: int) -> SpectralField:
     return f.with_coeffs(np.where(mask, f.coeffs, 0.0))
 
 
+def pack_ball(coeffs: np.ndarray, lattice: WaveLattice, cutoff: int) -> np.ndarray:
+    """The Galerkin ball of half-spectrum coefficients (..., dim) + lattice.shape.
+
+    Returns (..., dim, n_ball): the modes of `ball_mask(cutoff)` in storage
+    (row-major) order of the half spectrum, the layout the stepper works on.
+    """
+    return coeffs[..., lattice.ball_mask(cutoff)]
+
+
+def unpack_ball(c: np.ndarray, lattice: WaveLattice, cutoff: int) -> np.ndarray:
+    """Half-spectrum coefficients holding the packed ball c and zero elsewhere."""
+    out = np.zeros(c.shape[:-1] + lattice.shape, dtype=np.complex128)
+    out[..., lattice.ball_mask(cutoff)] = c
+    return out
+
+
 def galerkin_complement(f: SpectralField, cutoff: int) -> SpectralField:
     """The tail I - P^N: modes with |k| > cutoff."""
     mask = f.lattice.active & ~f.lattice.ball_mask(cutoff)

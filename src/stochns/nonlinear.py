@@ -62,8 +62,8 @@ def dealias(f: SpectralField) -> SpectralField:
 class ConvectPlan:
     """Index maps and multipliers of `convect` between two packed mode sets.
 
-    Inputs are (dim, n_in) over the flat half-spectrum indices `in_index`,
-    outputs (dim, n_out) over `out_index`. A box of extent (rows, cols)
+    Inputs are (dim, n_in) and outputs (dim, n_out), each mode set packed
+    in storage order of the half spectrum. A box of extent (rows, cols)
     holds the modes with |k_i| <= rows on the full axes and k_last <= cols,
     laid out as (n, 2 rows + 1, ..., cols + 1): the first axis at full
     length in FFT order, the other full axes compact in FFT order.
@@ -73,8 +73,6 @@ class ConvectPlan:
     """
 
     lattice: WaveLattice
-    in_index: np.ndarray
-    out_index: np.ndarray
     in_box: tuple[int, int]
     out_box: tuple[int, int]
     scatter: np.ndarray
@@ -82,17 +80,6 @@ class ConvectPlan:
     ik: np.ndarray          # i k n_modes on the dealias mask, (dim, n_out)
     k: np.ndarray           # k and k/|k|^2 of the Leray projection, (dim, n_out)
     k_over_ksq: np.ndarray
-
-    def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """Input modes of half-spectrum coefficients (dim,) + lattice.shape."""
-        return coeffs.reshape(self.lattice.dim, -1)[:, self.in_index]
-
-    def unpack(self, c_out: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients holding c_out on the output modes."""
-        lat = self.lattice
-        out = np.zeros((lat.dim,) + lat.shape, dtype=np.complex128)
-        out.reshape(lat.dim, -1)[:, self.out_index] = c_out
-        return out
 
 
 def _box_extent(k: np.ndarray) -> tuple[int, int]:
@@ -114,23 +101,20 @@ def convect_plan(lattice: WaveLattice, cutoff: int | None = None) -> ConvectPlan
     """Plan from and onto the Galerkin ball |k| <= cutoff, or, without a
     cutoff, from the whole active set onto the dealias mask."""
     if cutoff is None:
-        in_index, out_index = (np.flatnonzero(lattice.active),
-                               np.flatnonzero(lattice.dealias_mask))
+        in_set, out_set = lattice.active, lattice.dealias_mask
     else:
-        in_index = out_index = np.flatnonzero(lattice.ball_mask(cutoff))
-    k = lattice.k.reshape(lattice.dim, -1)
-    k_in, k_out = k[:, in_index], k[:, out_index]
-    kept = lattice.dealias_mask.ravel()[out_index]
+        in_set = out_set = lattice.ball_mask(cutoff)
+    k_in, k_out = lattice.k[:, in_set], lattice.k[:, out_set]
+    kept = lattice.dealias_mask[out_set]
     in_box, out_box = _box_extent(k_in), _box_extent(k_out[:, kept])
     k_float = k_out.astype(np.float64)
     plan = ConvectPlan(
-        lattice, in_index, out_index, in_box, out_box,
+        lattice, in_box, out_box,
         scatter=_box_index(lattice, k_in, in_box),
         gather=np.where(kept, _box_index(lattice, k_out, out_box), 0),
         ik=1j * k_float * (lattice.n_modes * kept),
-        k=k_float, k_over_ksq=k_float / lattice.ksq.ravel()[out_index])
-    for arr in (in_index, out_index, plan.scatter, plan.gather, plan.ik, plan.k,
-                plan.k_over_ksq):
+        k=k_float, k_over_ksq=k_float / lattice.ksq[out_set])
+    for arr in (plan.scatter, plan.gather, plan.ik, plan.k, plan.k_over_ksq):
         arr.flags.writeable = False
     return plan
 
@@ -177,17 +161,18 @@ def convect(u, v, plan: ConvectPlan | None = None):
     are formed.
 
     u and v are SpectralFields, read on their active modes, and the result
-    is a SpectralField on the dealias mask. With a plan they are packed
-    (dim, n_in) arrays over `plan.in_index` and the result is the packed
-    (dim, n_out) array over `plan.out_index`.
+    is a SpectralField on the dealias mask. With a plan they are the packed
+    (dim, n_in) input modes of the plan and the result is its packed
+    (dim, n_out) output modes.
     """
     field_result = plan is None
     if field_result:
         require_same_lattice(u, v)
         plan = convect_plan(u.lattice)
+        active = u.lattice.active
         same = u.coeffs is v.coeffs
-        u = plan.pack(u.coeffs)
-        v = u if same else plan.pack(v.coeffs)
+        u = u.coeffs[:, active]
+        v = u if same else v.coeffs[:, active]
     lat = plan.lattice
     dim = lat.dim
     symmetric = u is v  # then u_j u_m once per pair j <= m
@@ -212,7 +197,9 @@ def convect(u, v, plan: ConvectPlan | None = None):
             acc[j] += ik[m] * prod_hat[p]
     out = acc - plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
     if field_result:
-        return SpectralField(lat, plan.unpack(out), solenoidal=True)
+        coeffs = np.zeros((dim,) + lat.shape, dtype=np.complex128)
+        coeffs[:, lat.dealias_mask] = out
+        return SpectralField(lat, coeffs, solenoidal=True)
     return out
 
 

@@ -1,8 +1,11 @@
 """Time integration of the Galerkin-truncated stochastic system.
 
-The state lives on the modes |k| <= N. One step of the exponential
-Euler-Maruyama scheme applies the exact viscous semigroup to everything
-explicit:
+The state lives on the modes |k| <= N and is stored as that Galerkin ball
+alone: `SimState.c` holds the packed (dim, n_ball) coefficients, which the
+steps read and write as they are, and `SimState.u` unpacks them into a
+half-spectrum field only for readers that need one. One step of the
+exponential Euler-Maruyama scheme applies the exact viscous semigroup to
+everything explicit:
 
     u+ = exp(-nu A dt) [ u + dt (drift(u) + nu A u) + sum_k diffusion_k(u) dW_k ]
 
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import IncrementBlock, PathSpec, increments
-from .fields import (GevreyWeight, SpectralField, galerkin_project,
-                     leray_project, parseval_weight, sobolev_norm_sq, transfer)
+from .fields import (GevreyWeight, SpectralField, galerkin_project, leray_project,
+                     pack_ball, parseval_weight, sobolev_norm_sq, transfer, unpack_ball)
 from .lattice import WaveLattice
 from .noise import NoiseSystem
 from . import nonlinear
@@ -84,16 +87,34 @@ class StopRecord:
 
 @dataclass(frozen=True)
 class SimState:
-    """Galerkin state at one time with the running budgets and stop records."""
+    """Galerkin state at one time with the running budgets and stop records.
+
+    The state is the packed ball c, a read-only (dim, n_ball) complex array:
+    the half-spectrum modes of `lattice.ball_mask(cutoff)` in storage
+    (row-major) order, as `fields.pack_ball` returns them. `u` unpacks it
+    into a SpectralField on demand. Snapshots store c as it is; `load_state`
+    refuses every other layout, the half spectrum and the full grid included.
+    """
 
     t: float
     step: int
-    u: SpectralField
+    c: np.ndarray
+    lattice: WaveLattice
+    cutoff: int
     budget_sup: float   # running sup of the squared Gevrey-H^1 norm
     budget_int: float   # running nu * integral of the squared Gevrey-H^2 norm
     h2_int: float       # running integral of the plain squared H^2 norm
     initial_h1_sq: float
     stops: tuple[StopRecord, ...] = ()
+
+    def __post_init__(self):
+        self.c.flags.writeable = False
+
+    @property
+    def u(self) -> SpectralField:
+        """The state as a solenoidal field on the half spectrum."""
+        return SpectralField(self.lattice, unpack_ball(self.c, self.lattice, self.cutoff),
+                             solenoidal=True)
 
     def stop_for(self, monitor: str) -> StopRecord | None:
         for rec in self.stops:
@@ -149,66 +170,41 @@ class _Stepper:
     """Precomputed multipliers for one (config, system, lattice) triple.
 
     The stepper works on the Galerkin ball packed as an array of shape
-    (..., dim, n_ball): the half-spectrum modes of `ball_index`, in that
-    order, under any leading batch shape of independent paths. Every stage
-    but convection is element-wise there; each path's arithmetic is the same
-    whatever the batch holds, so a batch reproduces single-path runs bit for
-    bit.
+    (..., dim, n_ball), the `SimState.c` layout, under any leading batch
+    shape of independent paths. Every stage but convection is element-wise
+    there; each path's arithmetic is the same whatever the batch holds, so a
+    batch reproduces single-path runs bit for bit.
     """
 
     def __init__(self, cfg: StepperConfig, system: NoiseSystem, lattice: WaveLattice):
         self.cfg = cfg
         self.system = system
-        self.lattice = lattice
-        self.ball_index = np.flatnonzero(lattice.ball_mask(cfg.cutoff))
-        # convect reads and writes the packed ball in ball_index order too
+        ball = lattice.ball_mask(cfg.cutoff)
+        # convect reads and writes the packed ball in that order too
         self.convect_plan = (nonlinear.convect_plan(lattice, cfg.cutoff)
                              if cfg.convection else None)
-        # the ball of every component in the flattened (dim,) + lattice.shape
-        n_half = int(np.prod(lattice.shape))
-        self._component_index = (np.arange(lattice.dim)[:, None] * n_half
-                                 + self.ball_index).ravel()
-        self.ksq = self._on_ball(lattice.ksq).astype(np.float64)
+        self.ksq = lattice.ksq[ball].astype(np.float64)
         self.decay = np.exp(-cfg.nu * cfg.dt * self.ksq)
         # observables read the ball only, so the Gevrey weight is never
         # evaluated off it, where it could overflow
         self.w_l2_ball, self.w_h1_ball, self.w_h2_ball = (
-            self._on_ball(parseval_weight(lattice, r)) for r in (0.0, 1.0, 2.0))
-        self.root_ball = np.power(self._on_ball(lattice.abs_k), 1.0 / cfg.gevrey.s)
+            parseval_weight(lattice, r)[ball] for r in (0.0, 1.0, 2.0))
+        self.root_ball = np.power(lattice.abs_k[ball], 1.0 / cfg.gevrey.s)
         max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
         if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
             raise ValueError("phi_cap too large for this lattice/cutoff (Gevrey guard)")
 
         # the real phases (xi_k.k) per family position and the Ito corrector
         phases, corrector = nonlinear.transport_multipliers(lattice, system.xi.vectors)
-        self.xi_phase = [self._on_ball(phase) for phase in phases]
-        self.corrector_mult = self._on_ball(corrector)
+        self.xi_phase = [phase[ball] for phase in phases]
+        self.corrector_mult = corrector[ball]
 
         # additive sigma fields arrive pre-projected onto the ball, carried
         # over from the lattice they were built on
         self.additive_hat = None
         if system.g.variant == "additive":
-            self.additive_hat = [self.pack(transfer(leray_project(sig), lattice).coeffs)
+            self.additive_hat = [transfer(leray_project(sig), lattice).coeffs[:, ball]
                                  for sig in system.g.sigmas]
-
-    # -- the packed layout ----------------------------------------------------
-
-    def _on_ball(self, values: np.ndarray) -> np.ndarray:
-        """A per-mode lattice array restricted to the ball."""
-        return values.ravel()[self.ball_index]
-
-    def pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """Ball modes of half-spectrum coefficients (..., dim) + lattice.shape."""
-        batch = coeffs.shape[:coeffs.ndim - self.lattice.dim - 1]
-        flat = np.take(coeffs.reshape(batch + (-1,)), self._component_index, axis=-1)
-        return flat.reshape(batch + (self.lattice.dim, -1))
-
-    def unpack(self, c_ball: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients that hold c_ball on the ball and zero elsewhere."""
-        batch = c_ball.shape[:-2]
-        out = np.zeros(c_ball.shape[:-1] + self.lattice.shape, dtype=np.complex128)
-        out.reshape(batch + (-1,))[..., self._component_index] = c_ball.reshape(batch + (-1,))
-        return out
 
     # -- pieces -------------------------------------------------------------
 
@@ -310,15 +306,14 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
     """One step; returns the new state and its observables (reusable by the
     caller as the next step's obs_now to avoid recomputation)."""
     cfg = stepper.cfg
-    c = stepper.pack(state.u.coeffs)
     if obs_now is None:
-        obs_now = stepper.observables(c, cfg.phi_at(state.t))
+        obs_now = stepper.observables(state.c, cfg.phi_at(state.t))
     budget_int = state.budget_int + cfg.dt * cfg.nu * obs_now["gevrey_h2_sq"]
     h2_int = state.h2_int + cfg.dt * obs_now["h2_sq"]
 
     t_new = state.t + cfg.dt
     step_new = state.step + 1
-    c_new, obs_new, bad = stepper.advance(c, dw_row, cfg.phi_at(t_new))
+    c_new, obs_new, bad = stepper.advance(state.c, dw_row, cfg.phi_at(t_new))
     if bad[()]:
         raise NonFiniteError(f"non-finite {bad[()]} at t={t_new:.6g} (step {step_new})")
     budget_sup = max(state.budget_sup, obs_new["gevrey_h1_sq"])
@@ -331,8 +326,8 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
     if state.stop_for("h2") is None and h2_int >= cfg.h2_r:
         stops = stops + (StopRecord("h2", t_new, step_new, h2_int),)
 
-    u_new = SpectralField(stepper.lattice, stepper.unpack(c_new), solenoidal=True)
-    new_state = SimState(t=t_new, step=step_new, u=u_new, budget_sup=budget_sup,
+    new_state = SimState(t=t_new, step=step_new, c=c_new, lattice=state.lattice,
+                         cutoff=state.cutoff, budget_sup=budget_sup,
                          budget_int=budget_int, h2_int=h2_int,
                          initial_h1_sq=state.initial_h1_sq, stops=stops)
     return new_state, obs_new
@@ -344,17 +339,17 @@ def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
 def drift(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> SpectralField:
     """Full drift including the viscous term, supported on |k| <= N."""
     stepper = _Stepper(cfg, system, u.lattice)
-    c = stepper.pack(u.coeffs)
+    c = pack_ball(u.coeffs, u.lattice, cfg.cutoff)
     out = stepper.explicit_drift(c) - cfg.nu * stepper.ksq * c
-    return SpectralField(u.lattice, stepper.unpack(out), solenoidal=True)
+    return u.with_coeffs(unpack_ball(out, u.lattice, cfg.cutoff), solenoidal=True)
 
 
 def diffusion(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> list[SpectralField]:
     """One diffusion field per Wiener index: P^N P[g_k(u) - (xi_k.grad)u],
     the stepper's noise sum for the unit increment row e_k."""
     stepper = _Stepper(cfg, system, u.lattice)
-    c = stepper.pack(u.coeffs)
-    return [SpectralField(u.lattice, stepper.unpack(stepper.noise_sum(c, e_k)),
+    c = pack_ball(u.coeffs, u.lattice, cfg.cutoff)
+    return [u.with_coeffs(unpack_ball(stepper.noise_sum(c, e_k), u.lattice, cfg.cutoff),
                           solenoidal=True)
             for e_k in np.eye(system.n_wiener)]
 
@@ -369,8 +364,9 @@ def initial_state(u0: SpectralField, cfg: StepperConfig, t0: float = 0.0) -> Sim
     h1_sq = sobolev_norm_sq(u, 1.0)
     if cfg.k0 is not None and h1_sq > cfg.k0 * (1.0 + 1e-9):
         raise ValueError(f"||u0^N||_H1^2 = {h1_sq:.6g} exceeds configured K0 = {cfg.k0}")
-    return SimState(t=t0, step=int(round(t0 / cfg.dt)), u=u,
-                    budget_sup=h1_sq, budget_int=0.0, h2_int=0.0,
+    return SimState(t=t0, step=int(round(t0 / cfg.dt)),
+                    c=pack_ball(u.coeffs, u.lattice, cfg.cutoff), lattice=u.lattice,
+                    cutoff=cfg.cutoff, budget_sup=h1_sq, budget_int=0.0, h2_int=0.0,
                     initial_h1_sq=h1_sq)
 
 
@@ -380,7 +376,7 @@ def step(state: SimState, cfg: StepperConfig, system: NoiseSystem,
     dw_row = np.asarray(dw_row, dtype=np.float64)
     if dw_row.shape != (system.n_wiener,):
         raise ValueError(f"dW row must have length {system.n_wiener}")
-    stepper = _Stepper(cfg, system, state.u.lattice)
+    stepper = _Stepper(cfg, system, state.lattice)
     return _advance(state, stepper, dw_row)[0]
 
 
@@ -405,12 +401,11 @@ def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
         raise ValueError("NoiseSystem must pass validate_system before integration")
     if path.n_processes != system.n_wiener:
         raise ValueError("PathSpec.n_processes must equal the system's Wiener count")
-    stepper = _Stepper(cfg, system, u0.lattice if resume is None else resume.u.lattice)
-
-    if resume is None:
-        state = initial_state(u0, cfg)
-    else:
-        state = resume
+    if resume is not None and resume.cutoff != cfg.cutoff:
+        raise ValueError(f"checkpoint cutoff {resume.cutoff} does not match the "
+                         f"configured cutoff {cfg.cutoff}")
+    stepper = _Stepper(cfg, system, u0.lattice if resume is None else resume.lattice)
+    state = initial_state(u0, cfg) if resume is None else resume
     if check_stability:
         warn_if_unstable(cfg, system, math.sqrt(max(state.initial_h1_sq, 0.0)))
 
@@ -431,7 +426,7 @@ def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
         block = increments(path, start_step * cfg.dt, cfg.dt, remaining)
 
     states = [state]
-    obs = stepper.observables(stepper.pack(state.u.coeffs), cfg.phi_at(state.t))
+    obs = stepper.observables(state.c, cfg.phi_at(state.t))
     series = {key: [_series_row(state, obs)[key]] for key in _SERIES_KEYS}
 
     for i in range(remaining):

@@ -1,10 +1,12 @@
 """Snapshot containers: coefficient arrays as .npy plus a JSON sidecar.
 
-The .npy array is the stored half spectrum, shape (dim, n, ..., n, n//2+1)
-(see `lattice`); its header is self-describing and byte-deterministic, which
-.npz is not (zip timestamps). The sidecar carries the metadata (time, seed,
-cutoff, phi, budgets, stop records) and names the layout; files in any other
-layout, such as full-grid spectra, are refused rather than converted. A
+A state snapshot stores the packed Galerkin ball `SimState.c`, shape
+(dim, n_ball): only the modes |k| <= cutoff, in storage order of the half
+spectrum (see `fields.pack_ball`). Its .npy header is self-describing and
+byte-deterministic, which .npz is not (zip timestamps). The sidecar carries
+the metadata (time, seed, cutoff, phi, budgets, stop records) and names the
+layout; files in any other layout, such as the half-spectrum or full-grid
+spectra of earlier snapshots, are refused rather than converted. A
 checkpoint restored from disk resumes bit-compatibly.
 """
 
@@ -17,12 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .brownian import IncrementBlock
-from .fields import SpectralField
 from .lattice import get_lattice
 from .sde import SimState, StopRecord
 
-LAYOUT = ("Hermitian half spectrum, complex128, axes (component, k1, ..., kd); "
-          "k1..k(d-1) in numpy fft order, kd = 0..n/2 (rfftn layout)")
+LAYOUT = ("Galerkin ball, complex128, shape (component, mode): the modes with "
+          "|k| <= cutoff of the Hermitian half spectrum (rfftn layout, k1..k(d-1) "
+          "in numpy fft order, kd = 0..n/2) in row-major order")
+
+_REQUIRED = ("layout", "dim", "grid_n", "cutoff", "t", "step", "budget_sup",
+             "budget_int", "h2_int", "initial_h1_sq", "stops")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -37,42 +42,18 @@ def _write_sidecar(path: Path, meta: dict) -> None:
     path.write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
 
 
-def save_field(base: str | Path, field: SpectralField, meta: dict | None = None) -> list[Path]:
-    """Write `<base>.npy` + `<base>.json`; returns the written paths."""
+def save_state(base: str | Path, state: SimState, meta: dict | None = None) -> list[Path]:
+    """Checkpoint a SimState: `<base>.npy` holds the packed ball, `<base>.json`
+    the lattice, cutoff, budgets and stop records; returns the written paths."""
     base = Path(base)
     npy = base.with_suffix(".npy")
-    np.save(npy, field.coeffs)
+    np.save(npy, state.c)
     sidecar = dict(meta or {})
     sidecar.update({
-        "dim": field.lattice.dim,
-        "grid_n": field.lattice.grid_n,
-        "solenoidal": field.solenoidal,
+        "dim": state.lattice.dim,
+        "grid_n": state.lattice.grid_n,
+        "cutoff": state.cutoff,
         "layout": LAYOUT,
-    })
-    jsn = base.with_suffix(".json")
-    _write_sidecar(jsn, sidecar)
-    return [npy, jsn]
-
-
-def load_field(base: str | Path) -> tuple[SpectralField, dict]:
-    """Read a field written by save_field.
-
-    Raises ValueError for another sidecar layout, and (from SpectralField)
-    for an array that is not the lattice's half spectrum.
-    """
-    base = Path(base)
-    meta = json.loads(base.with_suffix(".json").read_text())
-    if meta.get("layout") != LAYOUT:
-        raise ValueError(f"{base}: snapshot layout {meta.get('layout')!r} is not {LAYOUT!r}")
-    coeffs = np.load(base.with_suffix(".npy"))
-    lattice = get_lattice(meta["dim"], meta["grid_n"])
-    return SpectralField(lattice, coeffs, solenoidal=meta.get("solenoidal", False)), meta
-
-
-def save_state(base: str | Path, state: SimState, meta: dict | None = None) -> list[Path]:
-    """Checkpoint a SimState (coefficients + budgets + stop records)."""
-    sidecar = dict(meta or {})
-    sidecar.update({
         "t": state.t,
         "step": state.step,
         "budget_sup": state.budget_sup,
@@ -82,17 +63,37 @@ def save_state(base: str | Path, state: SimState, meta: dict | None = None) -> l
         "stops": [{"monitor": s.monitor, "time": s.time, "step": s.step, "value": s.value}
                   for s in state.stops],
     })
-    return save_field(base, state.u, sidecar)
+    jsn = base.with_suffix(".json")
+    _write_sidecar(jsn, sidecar)
+    return [npy, jsn]
 
 
 def load_state(base: str | Path) -> tuple[SimState, dict]:
-    field, meta = load_field(base)
+    """Read a checkpoint written by save_state.
+
+    Raises ValueError for another sidecar layout, a sidecar missing a
+    required key, and an array that is not complex128 of shape (dim, n_ball).
+    """
+    base = Path(base)
+    meta = json.loads(base.with_suffix(".json").read_text())
+    if meta.get("layout") != LAYOUT:
+        raise ValueError(f"{base}: snapshot layout {meta.get('layout')!r} is not {LAYOUT!r}")
+    missing = [key for key in _REQUIRED if key not in meta]
+    if missing:
+        raise ValueError(f"{base}: snapshot sidecar lacks {', '.join(missing)}")
+    lattice = get_lattice(meta["dim"], meta["grid_n"])
+    c = np.load(base.with_suffix(".npy"))
+    if c.dtype != np.complex128:
+        raise ValueError(f"{base}: snapshot dtype {c.dtype} is not complex128")
+    expected = (lattice.dim, int(lattice.ball_mask(meta["cutoff"]).sum()))
+    if c.shape != expected:
+        raise ValueError(f"{base}: snapshot shape {c.shape} is not the ball's {expected}")
     stops = tuple(StopRecord(monitor=s["monitor"], time=s["time"], step=s["step"],
-                             value=s["value"]) for s in meta.get("stops", ()))
-    state = SimState(t=meta["t"], step=meta["step"], u=field,
-                     budget_sup=meta["budget_sup"], budget_int=meta["budget_int"],
-                     h2_int=meta["h2_int"], initial_h1_sq=meta["initial_h1_sq"],
-                     stops=stops)
+                             value=s["value"]) for s in meta["stops"])
+    state = SimState(t=meta["t"], step=meta["step"], c=c, lattice=lattice,
+                     cutoff=meta["cutoff"], budget_sup=meta["budget_sup"],
+                     budget_int=meta["budget_int"], h2_int=meta["h2_int"],
+                     initial_h1_sq=meta["initial_h1_sq"], stops=stops)
     return state, meta
 
 

@@ -22,7 +22,7 @@ from .brownian import increments, refine
 from .config import ConfigError, ExperimentConfig
 from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
-                     weighted_inner, validate_physical)
+                     unpack_ball, weighted_inner, validate_physical)
 from .noise import validate_system
 from .sde import (NonFiniteError, Trajectory, _Stepper, _advance,
                   initial_state, integrate, linear_exact, tau_r_reached)
@@ -62,7 +62,6 @@ class PathResult:
 @dataclass
 class SimulateResult:
     paths: list[PathResult]
-    cutoff: int
 
     @property
     def nonfinite_paths(self) -> list[int]:
@@ -72,8 +71,7 @@ class SimulateResult:
 def simulate(config: ExperimentConfig) -> SimulateResult:
     """Ensemble run at N = n_ref with shell spectra and radius fits per path."""
     lattice, system, u0, _ = prepare(config)
-    cutoff = config["galerkin.n_ref"]
-    cfg = config.stepper_config(cutoff)
+    cfg = config.stepper_config(config["galerkin.n_ref"])
     stride = config["outputs.snapshot_stride"]
     burn_in = config.burn_in_time()
 
@@ -96,7 +94,7 @@ def simulate(config: ExperimentConfig) -> SimulateResult:
         return result
 
     paths = _run_indexed(worker, config["ensemble.n_paths"], config["ensemble.workers"])
-    return SimulateResult(paths=paths, cutoff=cutoff)
+    return SimulateResult(paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +245,10 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     n_paths = config["ensemble.n_paths"]
     steppers = [_Stepper(dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
                                              dt=dt), system, lattice) for dt in dts]
-    u_start = initial_state(u0, steppers[0].cfg).u
-    c_start = steppers[0].pack(u_start.coeffs)
+    start = initial_state(u0, steppers[0].cfg)
+    u_start = start.u
     heat = np.abs(linear_exact(u_start, xi_vec, nu, 0.0, t_end).coeffs)
-    chunk = max(1, _ORACLE_CHUNK_BYTES // (16 * c_start.size))
+    chunk = max(1, _ORACLE_CHUNK_BYTES // (16 * start.c.size))
 
     strong = np.zeros((n_paths, levels))
     modulus = np.zeros((n_paths, levels))
@@ -263,7 +261,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
             if lvl:
                 blocks = [refine(block, 2) for block in blocks]
             dw = np.stack([block.increments for block in blocks])
-            c = np.repeat(c_start[None], len(paths), axis=0)
+            c = np.repeat(start.c[None], len(paths), axis=0)
             t = 0.0
             for i in range(dw.shape[1]):
                 t += stepper.cfg.dt
@@ -273,7 +271,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
                                                    f"(step {i + 1}, dt={stepper.cfg.dt:g})")
                     c[p] = 0.0   # the path is excluded; keep its row finite
             for p, path_index in enumerate(paths):
-                final = u_start.with_coeffs(stepper.unpack(c[p]))
+                final = u_start.with_coeffs(unpack_ball(c[p], lattice, start.cutoff))
                 w_end = float(blocks[p].increments[:, 0].sum())
                 exact = linear_exact(u_start, xi_vec, nu, w_end, t_end)
                 strong[path_index, lvl] = math.sqrt(sobolev_norm_sq(final - exact, 0.0))

@@ -62,6 +62,15 @@ def test_simulate_smoke_writes_manifest(tmp_path):
     assert (out / "state_path001.npy").exists()
 
 
+def test_simulate_snapshot_holds_the_galerkin_ball(tmp_path):
+    cfg = write_config(tmp_path, {"ensemble": {"n_paths": 1}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    n_ball = int(build_lattice(2, 16).ball_mask(5).sum())
+    arr = np.load(out / "state_path000.npy")
+    assert arr.dtype == np.complex128 and arr.shape == (2, n_ball)
+
+
 def test_simulate_deterministic_across_runs_and_workers(tmp_path):
     cfg1 = write_config(tmp_path, {"ensemble": {"workers": 1, "n_paths": 3}}, "c1.json")
     cfg8 = write_config(tmp_path, {"ensemble": {"workers": 8, "n_paths": 3}}, "c8.json")

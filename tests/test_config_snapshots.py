@@ -7,10 +7,9 @@ from conftest import full_grid_k, full_spectrum, smooth_field, transport_system
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.config import ConfigError, ExperimentConfig, default_oracle_config
-from stochns.fields import random_h1_field
-from stochns.sde import integrate
-from stochns.snapshots import (load_field, load_state, save_field,
-                               save_increments, save_state, sha256_file)
+from stochns.fields import pack_ball, random_h1_field
+from stochns.sde import StepperConfig, initial_state, integrate
+from stochns.snapshots import load_state, save_increments, save_state, sha256_file
 
 
 def test_default_config_valid():
@@ -111,24 +110,29 @@ def test_builders_produce_consistent_objects():
 # ---------------------------------------------------------------------------
 # snapshots
 
+def _ball_state(lat, seed, cutoff=8):
+    return initial_state(smooth_field(lat, seed=seed), StepperConfig(
+        nu=0.05, dt=1e-3, t_end=0.01, cutoff=cutoff))
+
+
 def test_field_round_trip(tmp_path, lat32):
-    f = smooth_field(lat32, seed=1)
-    save_field(tmp_path / "f", f, {"note": "test"})
-    g, meta = load_field(tmp_path / "f")
-    assert np.array_equal(f.coeffs, g.coeffs)
-    assert g.solenoidal == f.solenoidal
-    assert meta["note"] == "test" and meta["grid_n"] == 32
+    state = _ball_state(lat32, seed=1)
+    save_state(tmp_path / "f", state, {"note": "test"})
+    restored, meta = load_state(tmp_path / "f")
+    assert np.array_equal(restored.u.coeffs, state.u.coeffs)
+    assert restored.u.solenoidal and restored.lattice == lat32 and restored.cutoff == 8
+    assert meta["note"] == "test" and meta["grid_n"] == 32 and meta["cutoff"] == 8
 
 
 def test_state_round_trip(tmp_path, lat32):
     system = transport_system(lat32, [np.array([0.5, 0.0])])
-    from stochns.sde import StepperConfig
     cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.01, cutoff=8, budget_m=1.01)
     traj = integrate(cfg, system, PathSpec(1, 0, 1),
                      random_h1_field(lat32, seed=2, k0=1.0))
     state = traj.final
     save_state(tmp_path / "s", state)
     restored, _ = load_state(tmp_path / "s")
+    assert np.array_equal(restored.c, state.c)
     assert np.array_equal(restored.u.coeffs, state.u.coeffs)
     assert restored.t == state.t and restored.step == state.step
     assert restored.budget_sup == state.budget_sup
@@ -136,27 +140,50 @@ def test_state_round_trip(tmp_path, lat32):
 
 
 def test_full_grid_snapshot_rejected(tmp_path, lat32):
-    # a snapshot in the earlier full-grid layout: (dim, n, n) coefficients
-    f = smooth_field(lat32, seed=4)
-    np.save(tmp_path / "old.npy", full_spectrum(f))
-    meta = {"dim": 2, "grid_n": 32, "solenoidal": True,
-            "layout": "k-major complex128, axes (component, k1, ..., kd), numpy fft order"}
-    (tmp_path / "old.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="layout"):
-        load_field(tmp_path / "old")
-    # the current layout name on a full-grid array is refused by its shape
-    save_field(tmp_path / "new", f)
-    np.save(tmp_path / "new.npy", full_spectrum(f))
-    with pytest.raises(ValueError, match="shape"):
-        load_field(tmp_path / "new")
+    state = _ball_state(lat32, seed=4)
+    save_state(tmp_path / "new", state)
+    meta = json.loads((tmp_path / "new.json").read_text())
+    # snapshots in the earlier layouts: full-grid and half-spectrum coefficients
+    for name, layout, coeffs in [
+            ("full", "k-major complex128, axes (component, k1, ..., kd), numpy fft order",
+             full_spectrum(state.u)),
+            ("half", "Hermitian half spectrum, complex128, axes (component, k1, ..., kd); "
+                     "k1..k(d-1) in numpy fft order, kd = 0..n/2 (rfftn layout)",
+             state.u.coeffs)]:
+        np.save(tmp_path / f"{name}.npy", coeffs)
+        (tmp_path / f"{name}.json").write_text(json.dumps({**meta, "layout": layout}))
+        with pytest.raises(ValueError, match="layout"):
+            load_state(tmp_path / name)
+    # the current layout name on a half-spectrum array, or on another cutoff's
+    # ball, is refused by its shape
+    for coeffs in (state.u.coeffs, pack_ball(state.u.coeffs, lat32, 7)):
+        np.save(tmp_path / "new.npy", coeffs)
+        with pytest.raises(ValueError, match="shape"):
+            load_state(tmp_path / "new")
+
+
+def test_snapshot_input_checks(tmp_path, lat32):
+    state = _ball_state(lat32, seed=5)
+    save_state(tmp_path / "s", state)
+    meta = json.loads((tmp_path / "s.json").read_text())
+    for key in ("cutoff", "grid_n", "budget_sup", "stops"):
+        (tmp_path / "s.json").write_text(json.dumps({k: v for k, v in meta.items()
+                                                     if k != key}))
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            load_state(tmp_path / "s")
+    save_state(tmp_path / "s", state)
+    np.save(tmp_path / "s.npy", state.c.real)
+    with pytest.raises(ValueError, match="complex128"):
+        load_state(tmp_path / "s")
 
 
 def test_snapshot_bytes_deterministic(tmp_path, lat32):
-    f = smooth_field(lat32, seed=3)
-    save_field(tmp_path / "a", f, {"seed": 3})
-    save_field(tmp_path / "b", f, {"seed": 3})
+    state = _ball_state(lat32, seed=3)
+    save_state(tmp_path / "a", state, {"seed": 3})
+    save_state(tmp_path / "b", state, {"seed": 3})
     assert sha256_file(tmp_path / "a.npy") == sha256_file(tmp_path / "b.npy")
     assert sha256_file(tmp_path / "a.json") == sha256_file(tmp_path / "b.json")
+    assert np.load(tmp_path / "a.npy").shape == (2, int(lat32.ball_mask(8).sum()))
 
 
 def test_increment_dump(tmp_path):

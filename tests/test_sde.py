@@ -8,8 +8,8 @@ from conftest import smooth_field, transport_system
 from stochns import studies
 from stochns.brownian import PathSpec, increments, refine
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
-from stochns.fields import (GevreyWeight, SpectralField, random_h1_field,
-                            single_mode_field, sobolev_norm_sq, transfer,
+from stochns.fields import (GevreyWeight, pack_ball, random_h1_field,
+                            single_mode_field, sobolev_norm_sq, transfer, unpack_ball,
                             validate_physical, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
@@ -122,7 +122,8 @@ def test_diffusion_sums_to_the_stepper_noise_sum(lat32, g_kind):
     u = smooth_field(lat32, seed=21)
     dw = 0.03 * np.random.default_rng(5).standard_normal(system.n_wiener)
     stepper = _Stepper(cfg, system, lat32)
-    expected = stepper.unpack(stepper.noise_sum(stepper.pack(u.coeffs), dw))
+    c = pack_ball(u.coeffs, lat32, cfg.cutoff)
+    expected = unpack_ball(stepper.noise_sum(c, dw), lat32, cfg.cutoff)
     total = sum(dw[k] * f.coeffs for k, f in enumerate(diffusion(u, cfg, system)))
     assert np.abs(expected).max() > 0.0
     assert np.abs(total - expected).max() <= 1e-14 * np.abs(expected).max()
@@ -171,7 +172,7 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
     lat = build_lattice(dim, grid)
     system = _batch_system(lat, g_kind)
     stepper = _Stepper(make_cfg(cutoff=cutoff), system, lat)
-    c = np.stack([stepper.pack(smooth_field(lat, seed=s).coeffs) for s in range(4)])
+    c = np.stack([pack_ball(smooth_field(lat, seed=s).coeffs, lat, cutoff) for s in range(4)])
     # increments 0-1 drive g, 2-3 transport; the first vector's phase is +0
     # at k_1 = 0, where the second's is negative, so a zero sum or a skipped
     # zero term shows in the sign of zero results
@@ -180,7 +181,7 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
     dw[1, [0, 3]] = 0.0   # a zero increment of g and of a transport term
     dw[2] = 0.0           # no noise term at all
     c_new, obs, bad = stepper.advance(c, dw, 0.2)
-    assert c_new.shape == c.shape == (4, dim, stepper.ball_index.size)
+    assert c_new.shape == c.shape == (4, dim, int(lat.ball_mask(cutoff).sum()))
     for p in range(4):
         noise = stepper.noise_sum(c[p], dw[p])
         assert noise.tobytes() == stepper.noise_sum(c, dw)[p].tobytes()
@@ -195,8 +196,8 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_advance_flags_nonfinite_rows_only(lat32, off_system):
     stepper = _Stepper(make_cfg(cutoff=4, convection=False), off_system, lat32)
-    good = stepper.pack(smooth_field(lat32, seed=4).coeffs)
-    huge = stepper.pack(single_mode_field(lat32, (1, 0), (0.0, 1e200)).coeffs)
+    good = pack_ball(smooth_field(lat32, seed=4).coeffs, lat32, 4)
+    huge = pack_ball(single_mode_field(lat32, (1, 0), (0.0, 1e200)).coeffs, lat32, 4)
     broken = good.copy()
     broken[0, 0] = np.nan
     c_new, _, bad = stepper.advance(np.stack([good, huge, broken, good]),
@@ -208,12 +209,19 @@ def test_advance_flags_nonfinite_rows_only(lat32, off_system):
 
 
 def test_pack_unpack_round_trip(lat3d):
-    stepper = _Stepper(make_cfg(cutoff=5), transport_system(lat3d, []), lat3d)
     u = smooth_field(lat3d, seed=6)
-    packed = stepper.pack(u.coeffs)
+    packed = pack_ball(u.coeffs, lat3d, 5)
     assert packed.shape == (3, int(lat3d.ball_mask(5).sum()))
-    np.testing.assert_array_equal(stepper.unpack(packed),
+    # storage order: the ball's flat half-spectrum indices, ascending
+    flat = np.flatnonzero(lat3d.ball_mask(5))
+    np.testing.assert_array_equal(packed, u.coeffs.reshape(3, -1)[:, flat])
+    np.testing.assert_array_equal(unpack_ball(packed, lat3d, 5),
                                   np.where(lat3d.ball_mask(5), u.coeffs, 0.0))
+    # a stack of paths packs and unpacks path by path
+    stack = np.stack([u.coeffs, 2.0 * u.coeffs])
+    assert np.array_equal(pack_ball(stack, lat3d, 5)[1], pack_ball(stack[1], lat3d, 5))
+    assert np.array_equal(unpack_ball(pack_ball(stack, lat3d, 5), lat3d, 5)[1],
+                          unpack_ball(pack_ball(stack[1], lat3d, 5), lat3d, 5))
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 100, 32), (3, 16, 4), (3, 48, 16)],
@@ -224,11 +232,11 @@ def test_explicit_drift_convection_matches_unpruned_transforms(dim, grid, cutoff
     lat = build_lattice(dim, grid)
     system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=TransportNoise.empty(), n_wiener=0)
     stepper = _Stepper(make_cfg(cutoff=cutoff), system, lat)
-    c = stepper.pack(ball_field(lat, cutoff, seed=22).coeffs)
-    out = stepper.explicit_drift(c)
-    ref = -stepper.pack(unpruned_reference(lat, stepper.unpack(c), stepper.unpack(c)))
+    u = ball_field(lat, cutoff, seed=22)
+    out = stepper.explicit_drift(pack_ball(u.coeffs, lat, cutoff))
+    ref = -pack_ball(unpruned_reference(lat, u.coeffs, u.coeffs), lat, cutoff)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-    outside = ~lat.dealias_mask.ravel()[stepper.ball_index]
+    outside = ~lat.dealias_mask[lat.ball_mask(cutoff)]
     assert outside.any() == (grid == 3 * cutoff)
     assert np.all(out[:, outside] == 0.0)
 
@@ -286,10 +294,7 @@ def test_nonfinite_detected(lat32, off_system):
     coeffs = np.zeros((2,) + lat32.shape, dtype=complex)
     coeffs[0, 1, 2] = np.nan
     bad = initial_state(smooth_field(lat32, seed=6), cfg)
-    bad = type(bad)(t=bad.t, step=bad.step,
-                    u=SpectralField(lat32, coeffs, solenoidal=True),
-                    budget_sup=bad.budget_sup, budget_int=bad.budget_int,
-                    h2_int=bad.h2_int, initial_h1_sq=bad.initial_h1_sq)
+    bad = dataclasses.replace(bad, c=pack_ball(coeffs, lat32, cfg.cutoff))
     with pytest.raises(NonFiniteError):
         step(bad, cfg, off_system, np.zeros(0))
 
@@ -361,6 +366,32 @@ def test_resume_bit_compatible(lat32, xi_system, tmp_path):
     assert resumed.final.budget_sup == full.final.budget_sup
     assert resumed.final.budget_int == full.final.budget_int
     assert resumed.final.h2_int == full.final.h2_int
+
+
+def test_resume_rejects_another_cutoff(lat32, xi_system):
+    # the checkpoint's ball would be cut to the new cutoff, and its budget
+    # would keep the old cutoff's initial enstrophy
+    path = PathSpec(4, 0, 1)
+    half = integrate(make_cfg(t_end=0.01, cutoff=8), xi_system, path,
+                     random_h1_field(lat32, seed=12, k0=1.0))
+    with pytest.raises(ValueError, match="cutoff 8 .* cutoff 6"):
+        integrate(make_cfg(t_end=0.02, cutoff=6), xi_system, path,
+                  random_h1_field(lat32, seed=12, k0=1.0), resume=half.final)
+
+
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_stored_states_are_ball_sized(dim, grid, cutoff):
+    lat = build_lattice(dim, grid)
+    system = _batch_system(lat, "linear")
+    traj = integrate(make_cfg(cutoff=cutoff, t_end=0.005), system,
+                     PathSpec(2, 0, system.n_wiener), smooth_field(lat, seed=3),
+                     store_every=2)
+    n_ball = int(lat.ball_mask(cutoff).sum())
+    assert len(traj.states) == 4
+    for state in traj.states:
+        assert state.c.shape == (dim, n_ball) and state.c.dtype == np.complex128
+        assert not state.c.flags.writeable
+        assert np.array_equal(pack_ball(state.u.coeffs, lat, cutoff), state.c)
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 64, 8), (3, 24, 4)])
