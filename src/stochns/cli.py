@@ -115,7 +115,7 @@ class RunRecorder:
 
 def _stop_records(traj) -> list[dict]:
     return [{"monitor": s.monitor, "time": s.time, "step": s.step, "value": s.value}
-            for s in (traj.stops if traj else ())]
+            for s in traj.stops]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,6 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
         if pres.nonfinite:
             print(f"warning: path {i} aborted ({pres.nonfinite}); "
                   "recorded and excluded", file=sys.stderr)
-        if traj is None:
-            continue
         if "csv" in formats:
             s = traj.series
             rec.add(write_csv(out_dir / f"budgets_path{i:03d}.csv",

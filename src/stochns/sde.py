@@ -17,6 +17,10 @@ diagonal multiplies plus the additive fields. Budgets (the Gevrey-H^1 sup
 and the nu-weighted Gevrey-H^2 time integral) are accumulated with
 left-endpoint quadrature and the stopping monitors are evaluated at step
 boundaries; integration continues past a trigger, only the record is kept.
+
+`_advance` is the one step loop body: it advances a `PathStack` of paths
+from one start, with budgets and stop records per path, and `integrate` is
+the one-path case of `integrate_paths`.
 """
 
 from __future__ import annotations
@@ -132,6 +136,7 @@ class Trajectory:
     series: dict[str, np.ndarray]
     stops: tuple[StopRecord, ...]
     path: PathSpec | None = None
+    nonfinite: str | None = None   # the error that ended the path early
 
     @property
     def final(self) -> SimState:
@@ -301,36 +306,79 @@ class _Stepper:
         return obs
 
 
-def _advance(state: SimState, stepper: _Stepper, dw_row: np.ndarray,
-             obs_now: dict | None = None) -> tuple[SimState, dict]:
-    """One step; returns the new state and its observables (reusable by the
-    caller as the next step's obs_now to avoid recomputation)."""
+class PathStack:
+    """Paths of one cutoff from a common start, stepped together by `_advance`.
+
+    The paths share the time and step count. `c` is their packed
+    (P, dim, n_ball) stack; the budgets, the stop records and the
+    observables at the current time are kept per path. A path whose step
+    turns non-finite gets its message in `failed`; from then on its row is
+    zero and its budgets, stops and states are not taken.
+    """
+
+    def __init__(self, start: SimState, n_paths: int, stepper: _Stepper):
+        if start.cutoff != stepper.cfg.cutoff:
+            raise ValueError(f"state cutoff {start.cutoff} does not match the "
+                             f"stepper's cutoff {stepper.cfg.cutoff}")
+        self.t, self.step = start.t, start.step
+        self.lattice, self.cutoff = start.lattice, start.cutoff
+        self.initial_h1_sq = start.initial_h1_sq
+        self.c = np.repeat(start.c[None], n_paths, axis=0)
+        self.budget_sup, self.budget_int, self.h2_int = (
+            np.full(n_paths, value) for value in (start.budget_sup, start.budget_int,
+                                                  start.h2_int))
+        self.stops = [start.stops] * n_paths
+        self.open = {monitor: np.full(n_paths, start.stop_for(monitor) is None)
+                     for monitor in ("budget", "h2")}
+        self.live = np.ones(n_paths, dtype=bool)
+        self.failed: list[str | None] = [None] * n_paths
+        self.obs = stepper.observables(self.c, stepper.cfg.phi_at(self.t))
+
+    def fail(self, p: int, message: str) -> None:
+        """End path p with `message`; its row is zeroed and skipped."""
+        self.failed[p] = message
+        self.live[p] = False
+        self.c[p] = 0.0
+
+    def state(self, p: int) -> SimState:
+        """Path p as a SimState that owns a copy of its row."""
+        return SimState(t=self.t, step=self.step, c=self.c[p].copy(), lattice=self.lattice,
+                        cutoff=self.cutoff, budget_sup=self.budget_sup[p],
+                        budget_int=self.budget_int[p], h2_int=self.h2_int[p],
+                        initial_h1_sq=self.initial_h1_sq, stops=self.stops[p])
+
+
+def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
+    """One step of every path in the stack, with one increment row per path
+    in dw; budgets and monitors are updated. Returns the paths that turned
+    non-finite in this step."""
     cfg = stepper.cfg
-    if obs_now is None:
-        obs_now = stepper.observables(state.c, cfg.phi_at(state.t))
-    budget_int = state.budget_int + cfg.dt * cfg.nu * obs_now["gevrey_h2_sq"]
-    h2_int = state.h2_int + cfg.dt * obs_now["h2_sq"]
+    obs_now = stack.obs
+    budget_int = stack.budget_int + cfg.dt * cfg.nu * obs_now["gevrey_h2_sq"]
+    h2_int = stack.h2_int + cfg.dt * obs_now["h2_sq"]
 
-    t_new = state.t + cfg.dt
-    step_new = state.step + 1
-    c_new, obs_new, bad = stepper.advance(state.c, dw_row, cfg.phi_at(t_new))
-    if bad[()]:
-        raise NonFiniteError(f"non-finite {bad[()]} at t={t_new:.6g} (step {step_new})")
-    budget_sup = max(state.budget_sup, obs_new["gevrey_h1_sq"])
+    t_new = stack.t + cfg.dt
+    step_new = stack.step + 1
+    c_new, obs_new, bad = stepper.advance(stack.c, dw, cfg.phi_at(t_new))
+    stack.t, stack.step, stack.c, stack.obs = t_new, step_new, c_new, obs_new
+    failed = [p for p in np.flatnonzero(bad != "") if stack.live[p]]
+    for p in failed:
+        stack.fail(p, f"non-finite {bad[p]} at t={t_new:.6g} (step {step_new})")
+    if not stack.live.all():
+        c_new[~stack.live] = 0.0
+        for value in obs_new.values():
+            value[~stack.live] = 0.0
+    budget_sup = np.maximum(stack.budget_sup, obs_new["gevrey_h1_sq"])
 
-    stops = state.stops
-    if state.stop_for("budget") is None:
-        value = budget_sup + budget_int
-        if value > state.initial_h1_sq + cfg.budget_m:
-            stops = stops + (StopRecord("budget", t_new, step_new, value),)
-    if state.stop_for("h2") is None and h2_int >= cfg.h2_r:
-        stops = stops + (StopRecord("h2", t_new, step_new, h2_int),)
-
-    new_state = SimState(t=t_new, step=step_new, c=c_new, lattice=state.lattice,
-                         cutoff=state.cutoff, budget_sup=budget_sup,
-                         budget_int=budget_int, h2_int=h2_int,
-                         initial_h1_sq=state.initial_h1_sq, stops=stops)
-    return new_state, obs_new
+    value = budget_sup + budget_int
+    hits = (("budget", value, value > stack.initial_h1_sq + cfg.budget_m),
+            ("h2", h2_int, h2_int >= cfg.h2_r))
+    for monitor, values, hit in hits:
+        for p in np.flatnonzero(hit & stack.open[monitor] & stack.live):
+            stack.stops[p] = stack.stops[p] + (StopRecord(monitor, t_new, step_new, values[p]),)
+            stack.open[monitor][p] = False
+    stack.budget_sup, stack.budget_int, stack.h2_int = budget_sup, budget_int, h2_int
+    return failed
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +425,10 @@ def step(state: SimState, cfg: StepperConfig, system: NoiseSystem,
     if dw_row.shape != (system.n_wiener,):
         raise ValueError(f"dW row must have length {system.n_wiener}")
     stepper = _Stepper(cfg, system, state.lattice)
-    return _advance(state, stepper, dw_row)[0]
+    stack = PathStack(state, 1, stepper)
+    if _advance(stack, stepper, dw_row[None]):
+        raise NonFiniteError(stack.failed[0])
+    return stack.state(0)
 
 
 _SERIES_KEYS = ("t", "l2_sq", "h1_sq", "h2_sq", "gevrey_h1_sq", "gevrey_h2_sq",
@@ -397,67 +448,74 @@ def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
     otherwise the base stream for `path` is used. NonFinite coefficients
     abort with the partial trajectory attached to the error.
     """
+    traj, = integrate_paths(cfg, system, [path], u0, store_every, resume,
+                            None if driving is None else [driving], check_stability)
+    if traj.nonfinite:
+        raise NonFiniteError(traj.nonfinite, traj)
+    return traj
+
+
+def integrate_paths(cfg: StepperConfig, system: NoiseSystem, paths: list[PathSpec],
+                    u0: SpectralField, store_every: int = 1,
+                    resume: SimState | None = None,
+                    driving: list[IncrementBlock] | None = None,
+                    check_stability: bool = True) -> list[Trajectory]:
+    """Integrate every path from u0 (or one checkpoint) to t_end as one stack.
+
+    Each path's trajectory is bitwise the one it has alone, as `integrate`
+    documents. A path that turns non-finite keeps its trajectory up to the
+    last finite step, with the error message in `Trajectory.nonfinite`,
+    while the other paths go on.
+    """
     if not system.validated:
         raise ValueError("NoiseSystem must pass validate_system before integration")
-    if path.n_processes != system.n_wiener:
+    if any(path.n_processes != system.n_wiener for path in paths):
         raise ValueError("PathSpec.n_processes must equal the system's Wiener count")
-    if resume is not None and resume.cutoff != cfg.cutoff:
-        raise ValueError(f"checkpoint cutoff {resume.cutoff} does not match the "
-                         f"configured cutoff {cfg.cutoff}")
     stepper = _Stepper(cfg, system, u0.lattice if resume is None else resume.lattice)
-    state = initial_state(u0, cfg) if resume is None else resume
+    start = initial_state(u0, cfg) if resume is None else resume
+    stack = PathStack(start, len(paths), stepper)
     if check_stability:
-        warn_if_unstable(cfg, system, math.sqrt(max(state.initial_h1_sq, 0.0)))
+        warn_if_unstable(cfg, system, math.sqrt(max(start.initial_h1_sq, 0.0)))
 
     total_steps = cfg.n_steps
-    start_step = state.step
-    remaining = total_steps - start_step
+    remaining = total_steps - start.step
     if remaining < 0:
         raise ValueError("checkpoint lies beyond t_end")
     if driving is not None:
-        if abs(driving.dt - cfg.dt) > 1e-12 * cfg.dt:
-            raise ValueError("driving block dt does not match the stepper dt")
-        if driving.step0 != start_step or driving.n_steps < remaining:
-            raise ValueError("driving block does not cover the requested steps")
-        if driving.increments.shape[1] != system.n_wiener:
-            raise ValueError("driving block has the wrong Wiener count")
-        block = driving
+        for block in driving:
+            if abs(block.dt - cfg.dt) > 1e-12 * cfg.dt:
+                raise ValueError("driving block dt does not match the stepper dt")
+            if block.step0 != start.step or block.n_steps < remaining:
+                raise ValueError("driving block does not cover the requested steps")
+            if block.increments.shape[1] != system.n_wiener:
+                raise ValueError("driving block has the wrong Wiener count")
+        blocks = driving
     else:
-        block = increments(path, start_step * cfg.dt, cfg.dt, remaining)
+        blocks = [increments(path, start.step * cfg.dt, cfg.dt, remaining) for path in paths]
+    dw = np.stack([block.increments[:remaining] for block in blocks], axis=1)
 
-    states = [state]
-    obs = stepper.observables(state.c, cfg.phi_at(state.t))
-    series = {key: [_series_row(state, obs)[key]] for key in _SERIES_KEYS}
-
+    series = {key: np.empty((remaining + 1, len(paths))) for key in _SERIES_KEYS}
+    _record(series, 0, stack)
+    states = [[start] for _ in paths]
+    ends = [remaining] * len(paths)   # each path's last finite step
     for i in range(remaining):
-        try:
-            state, obs = _advance(state, stepper, block.increments[i], obs_now=obs)
-        except NonFiniteError as err:
-            err.trajectory = _finish(cfg, states, series, state, path)
-            raise
-        row = _series_row(state, obs)
-        for key in _SERIES_KEYS:
-            series[key].append(row[key])
-        if state.step % store_every == 0 or state.step == total_steps:
-            states.append(state)
-    if states[-1] is not state:
-        states.append(state)
-    return _finish(cfg, states, series, state, path)
+        for p in _advance(stack, stepper, dw[i]):
+            ends[p] = i
+        _record(series, i + 1, stack)
+        if stack.step % store_every == 0 or stack.step == total_steps:
+            for p in np.flatnonzero(stack.live):
+                states[p].append(stack.state(p))
+    return [Trajectory(cfg=cfg, states=states[p],
+                       series={key: rows[:ends[p] + 1, p].copy() for key, rows in series.items()},
+                       stops=stack.stops[p], path=path, nonfinite=stack.failed[p])
+            for p, path in enumerate(paths)]
 
 
-def _series_row(state: SimState, obs: dict) -> dict[str, float]:
-    row = dict(obs)
-    row["t"] = state.t
-    row["budget_sup"] = state.budget_sup
-    row["budget_int"] = state.budget_int
-    row["h2_int"] = state.h2_int
-    return row
-
-
-def _finish(cfg, states, series, last_state, path) -> Trajectory:
-    arrays = {key: np.asarray(vals, dtype=np.float64) for key, vals in series.items()}
-    return Trajectory(cfg=cfg, states=states, series=arrays,
-                      stops=last_state.stops, path=path)
+def _record(series: dict, row: int, stack: PathStack) -> None:
+    values = dict(stack.obs, t=stack.t, budget_sup=stack.budget_sup,
+                  budget_int=stack.budget_int, h2_int=stack.h2_int)
+    for key in _SERIES_KEYS:
+        series[key][row] = values[key]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ def save_state(base: str | Path, state: SimState, meta: dict | None = None) -> l
     the lattice, cutoff, budgets and stop records; returns the written paths."""
     base = Path(base)
     npy = base.with_suffix(".npy")
-    np.save(npy, state.c)
+    # C order whatever the caller's layout, so equal states save equal bytes
+    np.save(npy, np.ascontiguousarray(state.c))
     sidecar = dict(meta or {})
     sidecar.update({
         "dim": state.lattice.dim,

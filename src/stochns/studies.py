@@ -2,10 +2,12 @@
 
 Each engine is a pure function of a validated ExperimentConfig returning
 plain result objects; the CLI layer only serializes them. Ensembles are
-dispatched to a thread pool and reassembled in path order, so results are
-independent of the worker count (the Wiener driver is counter-based and the
-per-path work shares no mutable state). The linear oracle instead advances
-chunks of paths as one stack, with results independent of the chunking.
+split into `ensemble.workers` contiguous chunks of paths; each chunk is one
+thread-pool task that advances its paths as one packed stack (`sde.PathStack`),
+and the results are reassembled in path order. A stack gives each path the
+arithmetic it gets alone and the Wiener driver is counter-based, so results
+do not depend on the worker count or the chunking. The linear oracle sizes
+its own chunks and ignores `ensemble.workers`.
 """
 
 from __future__ import annotations
@@ -24,16 +26,39 @@ from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
                      unpack_ball, weighted_inner, validate_physical)
 from .noise import validate_system
-from .sde import (NonFiniteError, Trajectory, _Stepper, _advance,
-                  initial_state, integrate, linear_exact, tau_r_reached)
+from .sde import (NonFiniteError, PathStack, Trajectory, _Stepper, _advance,
+                  initial_state, integrate_paths, linear_exact, step, tau_r_reached)
 
 
-def _run_indexed(worker, n_paths: int, workers: int) -> list:
-    """Run worker(path_index) for every path; results ordered by index."""
+# bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
+# states and their Wiener increments
+_CHUNK_BYTES = 4 << 20
+
+
+def _run_chunks(run_chunk, n_paths: int, workers: int, path_bytes: int) -> list:
+    """Run run_chunk(range of path indices) over contiguous chunks of the
+    paths, one pool task each; the per-path results come back in path order.
+
+    There are `workers` chunks, or the smallest multiple of `workers` that
+    keeps each within `_CHUNK_BYTES`, but never more than one per path; their
+    sizes differ by at most one.
+    """
+    rounds = -(-n_paths * path_bytes // (workers * _CHUNK_BYTES))
+    n_chunks = min(n_paths, workers * rounds)
+    bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
+    chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     if workers <= 1:
-        return [worker(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_paths)))
+        results = [run_chunk(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_chunk, chunks))
+    return [result for chunk in results for result in chunk]
+
+
+def _path_bytes(lattice, cutoffs, n_steps: int, n_wiener: int) -> int:
+    """Bytes of one path in a chunk: its ball at each cutoff and its increments."""
+    balls = sum(int(lattice.ball_mask(n).sum()) for n in cutoffs)
+    return 16 * lattice.dim * balls + 8 * n_steps * n_wiener
 
 
 def prepare(config: ExperimentConfig):
@@ -53,10 +78,13 @@ def prepare(config: ExperimentConfig):
 @dataclass
 class PathResult:
     path_index: int
-    trajectory: Trajectory | None
-    nonfinite: str | None = None
+    trajectory: Trajectory   # partial when the path turned non-finite
     spectra: list = field(default_factory=list)        # ShellSpectrum per snapshot
     radius_fits: list = field(default_factory=list)    # (t, FitResult) per usable snapshot
+
+    @property
+    def nonfinite(self) -> str | None:
+        return self.trajectory.nonfinite
 
 
 @dataclass
@@ -75,25 +103,27 @@ def simulate(config: ExperimentConfig) -> SimulateResult:
     stride = config["outputs.snapshot_stride"]
     burn_in = config.burn_in_time()
 
-    def worker(path_index: int) -> PathResult:
-        path = config.path_spec(path_index, system.n_wiener)
-        try:
-            traj = integrate(cfg, system, path, u0, store_every=stride)
-        except NonFiniteError as err:
-            return PathResult(path_index=path_index, trajectory=err.trajectory,
-                              nonfinite=str(err))
-        result = PathResult(path_index=path_index, trajectory=traj)
-        for state in traj.states:
-            spec = diagnostics.shell_spectrum(state.u, t=state.t)
-            result.spectra.append(spec)
-            if state.t >= burn_in:
-                try:
-                    result.radius_fits.append((state.t, diagnostics.fit_radius(spec)))
-                except diagnostics.FitRefusedError:
-                    pass
-        return result
+    def run_chunk(indices: range) -> list[PathResult]:
+        paths = [config.path_spec(i, system.n_wiener) for i in indices]
+        results = []
+        for i, traj in zip(indices, integrate_paths(cfg, system, paths, u0,
+                                                    store_every=stride)):
+            result = PathResult(path_index=i, trajectory=traj)
+            results.append(result)
+            if traj.nonfinite:
+                continue
+            for state in traj.states:
+                spec = diagnostics.shell_spectrum(state.u, t=state.t)
+                result.spectra.append(spec)
+                if state.t >= burn_in:
+                    try:
+                        result.radius_fits.append((state.t, diagnostics.fit_radius(spec)))
+                    except diagnostics.FitRefusedError:
+                        pass
+        return results
 
-    paths = _run_indexed(worker, config["ensemble.n_paths"], config["ensemble.workers"])
+    paths = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
+                        _path_bytes(lattice, [cfg.cutoff], cfg.n_steps, system.n_wiener))
     return SimulateResult(paths=paths)
 
 
@@ -148,38 +178,47 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     def error_sq(u_ref, u_n) -> float:
         return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
 
-    def worker(path_index: int) -> DecayPathOutcome:
-        path = config.path_spec(path_index, system.n_wiener)
-        states = dict(starts)
-        block = increments(path, 0.0, dt, n_steps)
-        errors: dict = {}
-        stop_times: dict = {}
-        obs = {n: None for n in runs}
-        try:
-            for i in range(n_steps):
-                row = block.increments[i]
-                for n in runs:
-                    states[n], obs[n] = _advance(states[n], steppers[n], row,
-                                                 obs_now=obs[n])
-                for n in cutoffs:
-                    if n in stop_times:
-                        continue
-                    if tau_r_reached(states[n].h2_int, states[n_ref].h2_int, r_threshold):
-                        stop_times[n] = states[n].t
-                        errors[n] = error_sq(states[n_ref].u, states[n].u)
-        except NonFiniteError as err:
-            return DecayPathOutcome(path_index=path_index, errors_sq={}, stop_times={},
-                                    ref_tail_sq=float("nan"), nonfinite=str(err))
-        for n in cutoffs:
-            if n not in stop_times:
-                stop_times[n] = states[n_ref].t
-                errors[n] = error_sq(states[n_ref].u, states[n].u)
-        tail = galerkin_complement(states[n_ref].u, max(cutoffs))
-        return DecayPathOutcome(path_index=path_index, errors_sq=errors,
-                                stop_times=stop_times,
-                                ref_tail_sq=sobolev_norm_sq(tail, 1.0))
+    def run_chunk(indices: range) -> list[DecayPathOutcome]:
+        dw = np.stack([increments(config.path_spec(i, system.n_wiener), 0.0, dt,
+                                  n_steps).increments for i in indices], axis=1)
+        stacks = {n: PathStack(starts[n], len(indices), steppers[n]) for n in runs}
+        ref = stacks[n_ref]
+        errors = [{} for _ in indices]
+        stop_times = [{} for _ in indices]
+        pending = {n: np.ones(len(indices), dtype=bool) for n in cutoffs}
+        for i in range(n_steps):
+            for n in runs:
+                # a path's first error ends it at every cutoff
+                for p in _advance(stacks[n], steppers[n], dw[i]):
+                    for other in stacks.values():
+                        if other.live[p]:
+                            other.fail(p, stacks[n].failed[p])
+            for n in cutoffs:
+                reached = tau_r_reached(stacks[n].h2_int, ref.h2_int, r_threshold)
+                for p in np.flatnonzero(reached & pending[n] & ref.live):
+                    pending[n][p] = False
+                    stop_times[p][n] = stacks[n].t
+                    errors[p][n] = error_sq(ref.state(p).u, stacks[n].state(p).u)
+        outcomes = []
+        for p, path_index in enumerate(indices):
+            if ref.failed[p]:
+                outcomes.append(DecayPathOutcome(path_index=path_index, errors_sq={},
+                                                 stop_times={}, ref_tail_sq=float("nan"),
+                                                 nonfinite=ref.failed[p]))
+                continue
+            u_ref = ref.state(p).u
+            for n in cutoffs:
+                if pending[n][p]:
+                    stop_times[p][n] = ref.t
+                    errors[p][n] = error_sq(u_ref, stacks[n].state(p).u)
+            tail = galerkin_complement(u_ref, max(cutoffs))
+            outcomes.append(DecayPathOutcome(path_index=path_index, errors_sq=errors[p],
+                                             stop_times=stop_times[p],
+                                             ref_tail_sq=sobolev_norm_sq(tail, 1.0)))
+        return outcomes
 
-    outcomes = _run_indexed(worker, config["ensemble.n_paths"], config["ensemble.workers"])
+    outcomes = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
+                           _path_bytes(lattice, runs, n_steps, system.n_wiener))
     usable = [o for o in outcomes if not o.nonfinite]
     mean_errors, std_errors = [], []
     for n in cutoffs if usable else ():   # no finite path: no means, no fit
@@ -325,15 +364,18 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
         cfg = dataclasses.replace(config.stepper_config(cutoff), t_end=t_max)
         u0_n = transfer(u0, config.cutoff_lattice(cutoff))
 
-        def worker(path_index: int, cfg=cfg, u0_n=u0_n):
-            path = config.path_spec(path_index, system.n_wiener)
-            traj = integrate(cfg, system, path, u0_n, store_every=10**9,
-                             check_stability=False)
-            rec = traj.final.stop_for("budget")
-            return rec.time if rec else float("inf"), traj.states[0].budget_sup
-        rows = _run_indexed(worker, n_paths, config["ensemble.workers"])
-        stop_times = [r[0] for r in rows]
-        initial_budgets.append(rows[0][1])
+        def run_chunk(indices: range, cfg=cfg, u0_n=u0_n) -> list[Trajectory]:
+            paths = [config.path_spec(i, system.n_wiener) for i in indices]
+            return integrate_paths(cfg, system, paths, u0_n, store_every=10**9,
+                                   check_stability=False)
+        trajs = _run_chunks(run_chunk, n_paths, config["ensemble.workers"],
+                            _path_bytes(lattice, [cutoff], cfg.n_steps, system.n_wiener))
+        for traj in trajs:
+            if traj.nonfinite:
+                raise NonFiniteError(traj.nonfinite, traj)
+        stop_times = [rec.time if (rec := traj.final.stop_for("budget")) else float("inf")
+                      for traj in trajs]
+        initial_budgets.append(trajs[0].states[0].budget_sup)
         for horizon in horizons:
             frac = sum(1 for t in stop_times if t <= horizon + 1e-12) / n_paths
             fractions[(cutoff, horizon)] = frac
@@ -445,11 +487,10 @@ def invariant_checks(config: ExperimentConfig, seed: int = 12) -> list[CheckResu
         cfg = config.stepper_config(min(config["galerkin.cutoffs"]))
         u0 = config.initial_field(lattice)
         state = initial_state(u0, cfg)
-        stepper = _Stepper(cfg, sys_v, lattice)
         row = increments(config.path_spec(0, sys_v.n_wiener), 0.0, cfg.dt, 3)
         worst_div = worst_mean = 0.0
         for i in range(3):
-            state, _ = _advance(state, stepper, row.increments[i])
+            state = step(state, cfg, sys_v, row.increments[i])
             rep = validate_physical(state.u)
             worst_div = max(worst_div, rep.divergence_residual or 0.0)
             worst_mean = max(worst_mean, rep.mean_residual)

@@ -7,7 +7,7 @@ import pytest
 from stochns import studies
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
-from stochns.config import default_oracle_config
+from stochns.config import ExperimentConfig, default_oracle_config
 from stochns.lattice import build_lattice
 from stochns.snapshots import sha256_file
 
@@ -83,6 +83,56 @@ def test_simulate_deterministic_across_runs_and_workers(tmp_path):
     for out in outs[1:]:
         got = {p.name: sha256_file(p) for p in data_files(out)}
         assert got == ref
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "decay-study"])
+def test_identical_across_stack_sizes(tmp_path, command):
+    # the blow-up config below with linear noise 0.5: path 1 overflows at
+    # step 20 of 32 while paths 0 and 2 stay finite. Workers 1, 2 and 3 step
+    # one stack of 3, stacks of 1 and 2, and three one-path stacks
+    runs = []
+    for workers in (1, 2, 3):
+        cfg = write_config(tmp_path, {
+            "lattice": {"dim": 2, "grid_n": 20},
+            "physics": {"nu": 1e-9, "t_end": 8.0, "dt": 0.25, "convection": True},
+            "galerkin": {"cutoffs": [1, 2, 3], "n_ref": 6},
+            "noise": {"multiplicative": {"variant": "linear", "coefficients": [0.5],
+                                         "index_set": [0]}},
+            "ensemble": {"n_paths": 3, "workers": workers, "master_seed": 9001}},
+            f"w{workers}.json")
+        out = tmp_path / f"w{workers}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        record = json.loads((out / "run_record.json").read_text())
+        assert record["nonfinite_paths"] == [1]
+        runs.append(({p.name: p.read_bytes() for p in data_files(out)}, record.get("paths")))
+    assert runs[0] == runs[1] == runs[2]
+    files, paths = runs[0]
+    if command == "decay-study":
+        rows = files["decay_paths.csv"].decode().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["0", "2"]
+        return
+    assert "state_path001.npy" not in files and "state_path002.npy" in files
+    assert paths["1"]["nonfinite"] == ("non-finite l2_sq, h1_sq, h2_sq, gevrey_h1_sq, "
+                                       "gevrey_h2_sq at t=5 (step 20)")
+    # the partial budgets of path 1: its start and 19 finite steps
+    assert len(files["budgets_path001.csv"].decode().splitlines()) == 1 + 20
+    assert len(files["budgets_path002.csv"].decode().splitlines()) == 1 + 33
+
+
+def test_exceedance_identical_across_stack_sizes():
+    # 5 paths as one stack and as stacks of 1, 2 and 2
+    fractions = []
+    for workers in (1, 3):
+        data = json.loads(json.dumps(TINY))
+        data["physics"].update({"t_end": 0.2, "dt": 0.004})
+        data["monitors"]["budget_m"] = 1.01
+        data["ensemble"] = {"n_paths": 5, "workers": workers, "master_seed": 13}
+        result = studies.budget_exceedance(ExperimentConfig(data), cutoffs=[2, 3, 5],
+                                           horizons=[0.2, 0.1, 0.05])
+        fractions.append(result.fractions)
+    assert fractions[0] == fractions[1]
+    assert 0.0 < fractions[0][(5, 0.2)] < 1.0
 
 
 def test_noise_off_paths_identical(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -184,6 +185,17 @@ def test_snapshot_bytes_deterministic(tmp_path, lat32):
     assert sha256_file(tmp_path / "a.npy") == sha256_file(tmp_path / "b.npy")
     assert sha256_file(tmp_path / "a.json") == sha256_file(tmp_path / "b.json")
     assert np.load(tmp_path / "a.npy").shape == (2, int(lat32.ball_mask(8).sum()))
+
+
+def test_snapshot_bytes_independent_of_memory_order(tmp_path, lat32):
+    # one ball held C-ordered (a row of a path stack) and F-ordered (as a
+    # single-path step used to leave it) saves to the same bytes
+    state = _ball_state(lat32, seed=3)
+    for name, c in (("c", np.ascontiguousarray(state.c)), ("f", np.asfortranarray(state.c))):
+        save_state(tmp_path / name, dataclasses.replace(state, c=c), {"seed": 3})
+    assert np.asfortranarray(state.c).flags.f_contiguous
+    assert (tmp_path / "c.npy").read_bytes() == (tmp_path / "f.npy").read_bytes()
+    assert np.array_equal(load_state(tmp_path / "f")[0].c, state.c)
 
 
 def test_increment_dump(tmp_path):

@@ -14,7 +14,8 @@ from stochns.fields import (GevreyWeight, pack_ball, random_h1_field,
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
-from stochns.sde import (NonFiniteError, StepperConfig, _Stepper, diffusion, drift,
+from stochns.sde import (NonFiniteError, PathStack, StepperConfig, _Stepper, _advance,
+                         diffusion, drift,
                          dt_stability_bound, initial_state, integrate,
                          linear_exact, monitor_tau_R, step)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
@@ -377,6 +378,27 @@ def test_resume_rejects_another_cutoff(lat32, xi_system):
     with pytest.raises(ValueError, match="cutoff 8 .* cutoff 6"):
         integrate(make_cfg(t_end=0.02, cutoff=6), xi_system, path,
                   random_h1_field(lat32, seed=12, k0=1.0), resume=half.final)
+
+
+def test_step_rejects_another_cutoff(lat32, xi_system):
+    # the cutoff-8 ball does not fit the cutoff-6 stepper's multipliers
+    state = initial_state(smooth_field(lat32, seed=5), make_cfg(cutoff=8))
+    with pytest.raises(ValueError, match="cutoff 8 .* cutoff 6"):
+        step(state, make_cfg(cutoff=6), xi_system, np.zeros(1))
+
+
+def test_stack_states_own_their_rows(lat32, xi_system):
+    # a stored state must not see later writes to the stack, such as the
+    # zeroing of a row that turns non-finite
+    cfg = make_cfg()
+    stepper = _Stepper(cfg, xi_system, lat32)
+    stack = PathStack(initial_state(smooth_field(lat32, seed=5), cfg), 2, stepper)
+    _advance(stack, stepper, np.array([[0.01], [-0.02]]))
+    stored = stack.state(0)
+    before = stored.c.copy()
+    stack.fail(0, "non-finite coefficient")
+    assert np.array_equal(stored.c, before) and np.any(before)
+    assert not np.any(stack.c[0]) and stack.failed == ["non-finite coefficient", None]
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
