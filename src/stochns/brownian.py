@@ -4,8 +4,12 @@ Every increment is a pure function of (master_seed, path_index, refinement
 level, global step index, process index): the Philox counter is keyed by the
 first three and advanced directly to the requested cell, so any block can be
 drawn in any order, from any thread, with bit-identical results. Gaussians
-come from the inverse normal CDF applied to the raw 64-bit words; the mapping
-is pinned for reproducibility across releases.
+come from the inverse normal CDF applied to uniforms built from the raw 64-bit
+words (`_uniforms`). The mapping is pinned for reproducibility across
+releases: `ndtri` is an in-repo port of Cephes `ndtri` (S. Moshier, Methods
+and Programs for Mathematical Functions, 1989) with the same rational
+approximations in the same order of operations and libm `log` in the tails,
+so it returns bit for bit what the C routine returns.
 
 Refinement is a Brownian bridge: fine increments are conditioned to sum to
 the coarse ones exactly, drawing their randomness from the next level's
@@ -14,10 +18,10 @@ stream so nested refinement never collides with parent positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 _U53 = 2.0 ** -53
 _MAX_PATHS = 1 << 48  # level is packed above the path index in the Philox key
@@ -64,6 +68,76 @@ class IncrementBlock:
         return np.cumsum(self.increments, axis=0)
 
 
+# Cephes ndtri: central rational approximation in y - 1/2 for
+# exp(-2) < y <= 1 - exp(-2), and in 1/x with x = sqrt(-2 log y) on the tails,
+# P1/Q1 for 2 <= x < 8 and P2/Q2 for x >= 8 (y < exp(-32)). Q* omit their
+# leading coefficient 1.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Horner evaluation as Cephes `polevl`, or `p1evl` with an implied
+    leading coefficient 1 when monic."""
+    ans = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise libm log; numpy's vectorised log can differ by an ulp."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF for y0 in (0, 1), bitwise as Cephes."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    upper = y0 > 1.0 - _EXP_M2     # reflect the upper tail: y = 1 - y0
+    y = np.where(upper, 1.0 - y0, y0)
+    central = y > _EXP_M2
+    out = np.empty_like(y0)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, monic=True))) * _S2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1, monic=True)
+    far = x >= 8.0
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, monic=True)
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms in (0, 1) from raw 64-bit words: the top 53 bits plus one
+    half, scaled by 2^-53. The top cell would round to exactly 1.0 and is
+    held at the largest double below 1."""
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    return np.minimum(u, 1.0 - _U53, out=u)
+
+
 def _philox_key(spec: PathSpec, level: int) -> np.ndarray:
     mixed = np.uint64(spec.path_index) ^ (np.uint64(level) << np.uint64(48))
     return np.array([np.uint64(spec.master_seed & 0xFFFFFFFFFFFFFFFF), mixed],
@@ -79,8 +153,7 @@ def _standard_normals(spec: PathSpec, level: int, start_cell: int,
     if start_cell:
         bg.advance(start_cell)
     words = bg.random_raw(4 * count)[::4]  # one counter block per cell
-    uniforms = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-    return ndtri(uniforms)
+    return ndtri(_uniforms(words))
 
 
 def increments(spec: PathSpec, t0: float, dt: float, n_steps: int) -> IncrementBlock:

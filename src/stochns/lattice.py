@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,21 @@ def galerkin_grid(cutoff: int) -> int:
     A product of two modes with |k| <= N has components |k_i| <= 2N; on
     M >= 3N+1 points its aliases shift by M and land at |k_i| >= N+1, off the
     ball (Orszag's 2/3 rule), and every ball mode passes the dealias mask. The
-    result is the smallest even such M that `scipy.fft.next_fast_len` keeps
-    (sizes like 194 = 2*97 transform slowly), and at least 8.
+    result is the smallest even such M whose prime factors are all at most 11,
+    the lengths pocketfft transforms fastest (sizes like 194 = 2*97 transform
+    slowly), and at least 8.
     """
     if cutoff < 1:
         raise ValueError(f"Galerkin cutoff must be >= 1, got {cutoff}")
     grid = max(8, 3 * cutoff + 1)
     grid += grid % 2
-    while next_fast_len(grid) != grid:
+    while not _is_11_smooth(grid):
         grid += 2
     return grid
+
+
+def _is_11_smooth(n: int) -> bool:
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1

@@ -1,7 +1,8 @@
 """Pseudospectral nonlinear operators: convection, transport, Ito corrector.
 
 Fields are real and store the Hermitian half of their spectrum (the last
-axis up to n/2), the layout `irfftn` reads and `rfftn` writes. Convection
+axis up to n/2), the layout `irfftn` reads and `rfftn` writes. Transforms
+are numpy's (`numpy.fft`, the C++ pocketfft of numpy 2). Convection
 takes the divergence form div(u (x) v), exact for solenoidal u: the products
 u_j v_m are formed on the native grid and truncated with the lattice's
 2/3-rule mask, which is exact for quadratic products of masked inputs.
@@ -32,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 from .fields import SpectralField, require_same_lattice
 from .lattice import WaveLattice
@@ -40,7 +41,9 @@ from .lattice import WaveLattice
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Grid values of the field; u_hat are spectral coefficients (fft / n^d)."""
-    return _fft.irfftn(f.coeffs, s=f.lattice.grid_shape) * f.lattice.n_modes
+    lat = f.lattice
+    axes = tuple(range(-lat.dim, 0))   # the spatial axes that s describes
+    return _fft.irfftn(f.coeffs, s=lat.grid_shape, axes=axes) * lat.n_modes
 
 
 def from_physical(lattice: WaveLattice, values: np.ndarray) -> np.ndarray:
@@ -50,7 +53,8 @@ def from_physical(lattice: WaveLattice, values: np.ndarray) -> np.ndarray:
     and component stacks (dim, n, ..., n) are accepted; the result holds
     the half spectrum over those axes.
     """
-    return _fft.rfftn(values, s=lattice.grid_shape) / lattice.n_modes
+    axes = tuple(range(-lattice.dim, 0))
+    return _fft.rfftn(values, s=lattice.grid_shape, axes=axes) / lattice.n_modes
 
 
 def dealias(f: SpectralField) -> SpectralField:
@@ -128,12 +132,12 @@ def _to_grid(plan: ConvectPlan, c: np.ndarray) -> np.ndarray:
     box = np.zeros((c.shape[0], n) + (2 * rows + 1,) * (lat.dim - 2) + (cols + 1,),
                    dtype=np.complex128)
     box.reshape(c.shape[0], -1)[:, plan.scatter] = c
-    box = _fft.ifft(box, axis=1, overwrite_x=True)
+    box = _fft.ifft(box, axis=1)
     if lat.dim == 3:  # pad the compact middle axis to n, then transform it
         padded = np.zeros(box.shape[:2] + (n, cols + 1), dtype=np.complex128)
         padded[:, :, :rows + 1] = box[:, :, :rows + 1]
         padded[:, :, n - rows:] = box[:, :, rows + 1:]
-        box = _fft.ifft(padded, axis=2, overwrite_x=True)
+        box = _fft.ifft(padded, axis=2)
     return _fft.irfft(box, n=n, axis=-1)
 
 

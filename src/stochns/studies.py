@@ -26,8 +26,8 @@ from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
                      unpack_ball, weighted_inner, validate_physical)
 from .noise import validate_system
-from .sde import (NonFiniteError, PathStack, Trajectory, _Stepper, _advance,
-                  initial_state, integrate_paths, linear_exact, step, tau_r_reached)
+from .sde import (PathStack, Trajectory, _Stepper, _advance, initial_state,
+                  integrate_paths, linear_exact, step, tau_r_reached)
 
 
 # bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
@@ -343,6 +343,7 @@ class ExceedanceResult:
     horizons: list[float]
     fractions: dict        # (cutoff, horizon) -> fraction of paths with budget stop <= horizon
     initial_budgets: list[float]
+    nonfinite: dict        # cutoff -> indices of the paths that turned non-finite
 
 
 def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> ExceedanceResult:
@@ -352,13 +353,17 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
     cutoff's minimal dealias grid (`config.cutoff_lattice`); the stop
     record gives exceedance at every shorter horizon for free, and the
     fraction is automatically nonincreasing as the horizon shrinks because
-    the budget is nondecreasing.
+    the budget is nondecreasing. A path that turns non-finite has an
+    infinite budget from then on: it exceeds from that time, unless its
+    budget stop came earlier. It stays in the denominator, and
+    `nonfinite` lists it under its cutoff.
     """
     lattice, system, u0, _ = prepare(config)
     horizons = sorted(horizons, reverse=True)
     t_max = horizons[0]
     fractions = {}
     initial_budgets = []
+    nonfinite = {}
     n_paths = config["ensemble.n_paths"]
     for cutoff in cutoffs:
         cfg = dataclasses.replace(config.stepper_config(cutoff), t_end=t_max)
@@ -370,17 +375,24 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
                                    check_stability=False)
         trajs = _run_chunks(run_chunk, n_paths, config["ensemble.workers"],
                             _path_bytes(lattice, [cutoff], cfg.n_steps, system.n_wiener))
-        for traj in trajs:
-            if traj.nonfinite:
-                raise NonFiniteError(traj.nonfinite, traj)
-        stop_times = [rec.time if (rec := traj.final.stop_for("budget")) else float("inf")
-                      for traj in trajs]
+        nonfinite[cutoff] = [i for i, traj in enumerate(trajs) if traj.nonfinite]
+        stop_times = [_budget_stop_time(traj) for traj in trajs]
         initial_budgets.append(trajs[0].states[0].budget_sup)
         for horizon in horizons:
             frac = sum(1 for t in stop_times if t <= horizon + 1e-12) / n_paths
             fractions[(cutoff, horizon)] = frac
-    return ExceedanceResult(cutoffs=list(cutoffs), horizons=horizons,
-                            fractions=fractions, initial_budgets=initial_budgets)
+    return ExceedanceResult(cutoffs=list(cutoffs), horizons=horizons, fractions=fractions,
+                            initial_budgets=initial_budgets, nonfinite=nonfinite)
+
+
+def _budget_stop_time(traj: Trajectory) -> float:
+    """Time of the path's budget stop; for a path that turned non-finite
+    without one, the time of its failed step (the step after the last
+    finite row of its series); otherwise inf."""
+    for rec in traj.stops:
+        if rec.monitor == "budget":
+            return rec.time
+    return traj.times[-1] + traj.cfg.dt if traj.nonfinite else float("inf")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from stochns.fields import (GevreyWeight, galerkin_complement, galerkin_project,
                             sobolev_norm, sobolev_norm_sq, stokes_power,
                             validate_physical, weighted_inner)
 from stochns.lattice import build_lattice
-from stochns.sde import initial_state, integrate
+from stochns.sde import initial_state, integrate, integrate_paths
 from stochns.snapshots import sha256_file
 from stochns import studies
 
@@ -93,9 +93,10 @@ def test_c03_transport_energy_identity():
     lattice, system, u0, _ = studies.prepare(cfg)
     scfg = cfg.stepper_config(16)
     vals = []
-    for p in range(32):
-        traj = integrate(scfg, system, cfg.path_spec(p, system.n_wiener), u0,
-                         store_every=10 ** 9, check_stability=False)
+    paths = [cfg.path_spec(p, system.n_wiener) for p in range(32)]
+    for traj in integrate_paths(scfg, system, paths, u0, store_every=10 ** 9,
+                                check_stability=False):
+        assert traj.nonfinite is None, traj.nonfinite
         s = traj.series
         vals.append(s["l2_sq"][-1] + 2 * scfg.nu * scfg.dt * np.sum(s["h1_sq"][:-1]))
         e0 = s["l2_sq"][0]

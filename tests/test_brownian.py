@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from stochns.brownian import PathSpec, increments, refine
+from stochns.brownian import (PathSpec, _standard_normals, _uniforms, increments, ndtri,
+                              refine)
 
 
 def test_bit_identical_reproduction():
@@ -112,3 +115,43 @@ def test_increments_immutable():
 def test_zero_process_block():
     block = increments(PathSpec(1, 0, 0), 0.0, 0.1, 5)
     assert block.increments.shape == (5, 0)
+
+
+# the mapping from raw words to normals is pinned: the port must return what
+# Cephes ndtri (scipy.special.ndtri) returns, bit for bit
+
+EDGE_WORDS = np.array([0, 2**11 - 1, 2**11, 2**63, 2**64 - 2**12, 2**64 - 2**11, 2**64 - 1],
+                      dtype=np.uint64)
+
+
+def test_extreme_words_map_inside_the_unit_interval():
+    u = _uniforms(EDGE_WORDS)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert u[0] == 2.0**-54 and u[-1] == u[-2] == 1.0 - 2.0**-53
+    assert np.all(np.isfinite(ndtri(u)))
+    # below the top cell the mapping is the plain ((w >> 11) + 1/2) 2^-53
+    plain = ((EDGE_WORDS[:-2] >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(u[:-2], plain)
+
+
+def test_mapping_pinned_values():
+    z = _standard_normals(PathSpec(master_seed=99, path_index=3, n_processes=5), 0, 1000, 4)
+    assert [v.hex() for v in z.tolist()] == [
+        "0x1.63d36c1211c48p+0", "0x1.6470dce03126fp-3",
+        "-0x1.b99ae7c0f43eap+0", "0x1.2dd343c3ee81ep-2"]
+    x = ndtri(np.array([2.0**-54, 0.5, 1.0 - 2.0**-52, 1.0 - 2.0**-53]))
+    assert [v.hex() for v in x.tolist()] == [
+        "-0x1.095b059d67c4dp+3", "0x0.0p+0", "0x1.04074bdbf8865p+3", "0x1.06b48528cea52p+3"]
+
+
+def test_ndtri_bitwise_equal_to_cephes():
+    special = pytest.importorskip("scipy.special")
+    cells = np.arange(2**12, dtype=np.uint64)
+    words = np.concatenate([cells << np.uint64(11), ~(cells << np.uint64(11)),
+                            np.random.default_rng(3).integers(0, 2**64, size=100_000,
+                                                              dtype=np.uint64)])
+    boundaries = [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)]
+    y = np.concatenate([_uniforms(words)]
+                       + [np.nextafter(b, [0.0, 1.0]) for b in boundaries]
+                       + [np.array(boundaries)])
+    assert np.array_equal(ndtri(y), special.ndtri(y))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,21 +88,26 @@ def test_simulate_deterministic_across_runs_and_workers(tmp_path):
         assert got == ref
 
 
+# at n_ref 6, path 1 of master seed 9001 overflows at t=5 (step 20)
+BLOW_UP = {
+    "lattice": {"dim": 2, "grid_n": 20},
+    "physics": {"nu": 1e-9, "t_end": 8.0, "dt": 0.25, "convection": True},
+    "galerkin": {"cutoffs": [1, 2, 3], "n_ref": 6},
+    "noise": {"multiplicative": {"variant": "linear", "coefficients": [0.5],
+                                 "index_set": [0]}},
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["simulate", "decay-study"])
 def test_identical_across_stack_sizes(tmp_path, command):
-    # the blow-up config below with linear noise 0.5: path 1 overflows at
-    # step 20 of 32 while paths 0 and 2 stay finite. Workers 1, 2 and 3 step
-    # one stack of 3, stacks of 1 and 2, and three one-path stacks
+    # the blow-up config with linear noise 0.5: path 1 overflows at step 20
+    # of 32 while paths 0 and 2 stay finite. Workers 1, 2 and 3 step one
+    # stack of 3, stacks of 1 and 2, and three one-path stacks
     runs = []
     for workers in (1, 2, 3):
         cfg = write_config(tmp_path, {
-            "lattice": {"dim": 2, "grid_n": 20},
-            "physics": {"nu": 1e-9, "t_end": 8.0, "dt": 0.25, "convection": True},
-            "galerkin": {"cutoffs": [1, 2, 3], "n_ref": 6},
-            "noise": {"multiplicative": {"variant": "linear", "coefficients": [0.5],
-                                         "index_set": [0]}},
-            "ensemble": {"n_paths": 3, "workers": workers, "master_seed": 9001}},
+            **BLOW_UP, "ensemble": {"n_paths": 3, "workers": workers, "master_seed": 9001}},
             f"w{workers}.json")
         out = tmp_path / f"w{workers}"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 4
@@ -133,6 +141,34 @@ def test_exceedance_identical_across_stack_sizes():
         fractions.append(result.fractions)
     assert fractions[0] == fractions[1]
     assert 0.0 < fractions[0][(5, 0.2)] < 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("budget_m, stopped_by_4_75", [(1e300, 0.0), (1e6, 1 / 3)])
+def test_exceedance_counts_nonfinite_paths(budget_m, stopped_by_4_75):
+    # path 1 exceeds from t=5, where it turns non-finite, unless its budget
+    # stop comes first (budget_m 1e6); paths 0 and 2 never exceed
+    data = json.loads(json.dumps(TINY))
+    for key, block in BLOW_UP.items():
+        data[key].update(block)
+    data["ensemble"] = {"n_paths": 3, "workers": 1, "master_seed": 9001}
+    data["monitors"]["budget_m"] = budget_m
+    result = studies.budget_exceedance(ExperimentConfig(data), cutoffs=[6],
+                                       horizons=[8.0, 5.0, 4.75])
+    assert result.nonfinite == {6: [1]}
+    assert result.fractions == {(6, 8.0): 1 / 3, (6, 5.0): 1 / 3, (6, 4.75): stopped_by_4_75}
+
+
+def test_cli_imports_no_scipy():
+    # scipy.special alone costs about a quarter second of every start-up
+    src = str(Path(studies.__file__).resolve().parents[1])
+    code = ("import sys, stochns.cli, stochns.studies; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_noise_off_paths_identical(tmp_path):

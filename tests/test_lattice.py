@@ -105,10 +105,24 @@ def test_integer_frequencies_exact_on_awkward_grids():
 
 def test_galerkin_grid_values():
     # 64 skips 194 = 2*97, which transforms slowly
-    assert [galerkin_grid(n) for n in (4, 8, 32, 64)] == [14, 28, 98, 196]
+    assert [galerkin_grid(n) for n in (4, 8, 12, 16, 26, 32, 64)] == [14, 28, 40, 50, 80, 98, 196]
     assert galerkin_grid(1) == 8
     with pytest.raises(ValueError):
         galerkin_grid(0)
+
+
+def test_galerkin_grid_matches_next_fast_len_rule():
+    # the 11-smooth lengths are exactly those scipy's complex next_fast_len keeps
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+
+    def reference(cutoff):
+        grid = max(8, 3 * cutoff + 1)
+        grid += grid % 2
+        while next_fast_len(grid) != grid:
+            grid += 2
+        return grid
+
+    assert [galerkin_grid(n) for n in range(1, 257)] == [reference(n) for n in range(1, 257)]
 
 
 @pytest.mark.parametrize("cutoff", [1, 4, 8, 12, 16, 24, 32, 64])
