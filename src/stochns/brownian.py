@@ -144,16 +144,18 @@ def _philox_key(spec: PathSpec, level: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-def _standard_normals(spec: PathSpec, level: int, start_cell: int,
-                      count: int) -> np.ndarray:
-    """count standard normals at consecutive stream cells, by direct counter access."""
-    if count == 0:
-        return np.zeros(0)
-    bg = np.random.Philox(key=_philox_key(spec, level))
-    if start_cell:
-        bg.advance(start_cell)
-    words = bg.random_raw(4 * count)[::4]  # one counter block per cell
-    return ndtri(_uniforms(words))
+def _standard_normals(draws: list[tuple[PathSpec, int, int, int]]) -> list[np.ndarray]:
+    """Standard normals for each draw (spec, level, start_cell, count): count
+    consecutive stream cells, by direct counter access. One `ndtri` call maps
+    the words of every draw, which costs far less than one call per draw."""
+    words = []
+    for spec, level, start_cell, count in draws:
+        bg = np.random.Philox(key=_philox_key(spec, level))
+        if start_cell:
+            bg.advance(start_cell)
+        words.append(bg.random_raw(4 * count)[::4])  # one counter block per cell
+    z = ndtri(_uniforms(np.concatenate(words)))
+    return np.split(z, np.cumsum([w.size for w in words[:-1]]))
 
 
 def increments(spec: PathSpec, t0: float, dt: float, n_steps: int) -> IncrementBlock:
@@ -163,6 +165,13 @@ def increments(spec: PathSpec, t0: float, dt: float, n_steps: int) -> IncrementB
     index of t0, dt), so requesting a tail block reproduces the matching
     slice of a longer one bit for bit.
     """
+    block, = increments_paths([spec], t0, dt, n_steps)
+    return block
+
+
+def increments_paths(specs: list[PathSpec], t0: float, dt: float,
+                     n_steps: int) -> list[IncrementBlock]:
+    """`increments` for each path, bit for bit, drawn together."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if n_steps < 0:
@@ -170,10 +179,11 @@ def increments(spec: PathSpec, t0: float, dt: float, n_steps: int) -> IncrementB
     step0 = int(round(t0 / dt))
     if abs(step0 * dt - t0) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0={t0} is not on the dt={dt} step grid")
-    cells = n_steps * spec.n_processes
-    z = _standard_normals(spec, 0, step0 * spec.n_processes, cells)
-    dw = (np.sqrt(dt) * z).reshape(n_steps, spec.n_processes)
-    return IncrementBlock(spec=spec, dt=dt, step0=step0, increments=dw, level=0)
+    zs = _standard_normals([(spec, 0, step0 * spec.n_processes, n_steps * spec.n_processes)
+                            for spec in specs])
+    return [IncrementBlock(spec=spec, dt=dt, step0=step0, level=0,
+                           increments=(np.sqrt(dt) * z).reshape(n_steps, spec.n_processes))
+            for spec, z in zip(specs, zs)]
 
 
 def refine(block: IncrementBlock, factor: int) -> IncrementBlock:
@@ -184,16 +194,25 @@ def refine(block: IncrementBlock, factor: int) -> IncrementBlock:
     to the coarse increment to rounding. Randomness comes from the next
     refinement level's stream.
     """
+    fine, = refine_paths([block], factor)
+    return fine
+
+
+def refine_paths(blocks: list[IncrementBlock], factor: int) -> list[IncrementBlock]:
+    """`refine` of each block, bit for bit, drawn together."""
     if factor < 2:
         raise ValueError("refinement factor must be >= 2")
-    n_steps, n_proc = block.increments.shape
-    fine_dt = block.dt / factor
-    fine_step0 = block.step0 * factor
-    cells = n_steps * factor * n_proc
-    z = _standard_normals(block.spec, block.level + 1, fine_step0 * n_proc, cells)
-    z = z.reshape(n_steps, factor, n_proc)
-    centred = z - z.mean(axis=1, keepdims=True)
-    fine = (block.increments[:, None, :] / factor
-            + np.sqrt(fine_dt) * centred).reshape(n_steps * factor, n_proc)
-    return IncrementBlock(spec=block.spec, dt=fine_dt, step0=fine_step0,
-                          increments=fine, level=block.level + 1)
+    zs = _standard_normals([(block.spec, block.level + 1,
+                             block.step0 * factor * block.increments.shape[1],
+                             block.increments.size * factor) for block in blocks])
+    fines = []
+    for block, z in zip(blocks, zs):
+        n_steps, n_proc = block.increments.shape
+        fine_dt = block.dt / factor
+        z = z.reshape(n_steps, factor, n_proc)
+        centred = z - z.mean(axis=1, keepdims=True)
+        fine = (block.increments[:, None, :] / factor
+                + np.sqrt(fine_dt) * centred).reshape(n_steps * factor, n_proc)
+        fines.append(IncrementBlock(spec=block.spec, dt=fine_dt, step0=block.step0 * factor,
+                                    increments=fine, level=block.level + 1))
+    return fines

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import IncrementBlock, PathSpec, increments
+from .brownian import IncrementBlock, PathSpec, increments_paths
 from .fields import (GevreyWeight, SpectralField, galerkin_project, leray_project,
                      pack_ball, parseval_weight, sobolev_norm_sq, transfer, unpack_ball)
 from .lattice import WaveLattice
@@ -491,7 +491,7 @@ def integrate_paths(cfg: StepperConfig, system: NoiseSystem, paths: list[PathSpe
                 raise ValueError("driving block has the wrong Wiener count")
         blocks = driving
     else:
-        blocks = [increments(path, start.step * cfg.dt, cfg.dt, remaining) for path in paths]
+        blocks = increments_paths(paths, start.step * cfg.dt, cfg.dt, remaining)
     dw = np.stack([block.increments[:remaining] for block in blocks], axis=1)
 
     series = {key: np.empty((remaining + 1, len(paths))) for key in _SERIES_KEYS}

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics, nonlinear
-from .brownian import increments, refine
+from .brownian import increments, increments_paths, refine_paths
 from .config import ConfigError, ExperimentConfig
 from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
@@ -179,8 +179,9 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
         return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
 
     def run_chunk(indices: range) -> list[DecayPathOutcome]:
-        dw = np.stack([increments(config.path_spec(i, system.n_wiener), 0.0, dt,
-                                  n_steps).increments for i in indices], axis=1)
+        blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in indices],
+                                  0.0, dt, n_steps)
+        dw = np.stack([block.increments for block in blocks], axis=1)
         stacks = {n: PathStack(starts[n], len(indices), steppers[n]) for n in runs}
         ref = stacks[n_ref]
         errors = [{} for _ in indices]
@@ -294,11 +295,11 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     nonfinite: dict = {}
     for first in range(0, n_paths, chunk):
         paths = range(first, min(first + chunk, n_paths))
-        blocks = [increments(config.path_spec(i, system.n_wiener), 0.0, dt0,
-                             steppers[0].cfg.n_steps) for i in paths]
+        blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in paths],
+                                  0.0, dt0, steppers[0].cfg.n_steps)
         for lvl, stepper in enumerate(steppers):
             if lvl:
-                blocks = [refine(block, 2) for block in blocks]
+                blocks = refine_paths(blocks, 2)
             dw = np.stack([block.increments for block in blocks])
             c = np.repeat(start.c[None], len(paths), axis=0)
             t = 0.0

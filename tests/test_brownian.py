@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stochns.brownian import (PathSpec, _standard_normals, _uniforms, increments, ndtri,
-                              refine)
+from stochns.brownian import (PathSpec, _standard_normals, _uniforms, increments,
+                              increments_paths, ndtri, refine, refine_paths)
 
 
 def test_bit_identical_reproduction():
@@ -106,6 +106,18 @@ def test_wiener_values_cumulative():
     np.testing.assert_allclose(w[-1], block.increments.sum(axis=0), rtol=1e-15)
 
 
+def test_paths_drawn_together_match_single_draws():
+    specs = [PathSpec(master_seed=5, path_index=i, n_processes=3) for i in (0, 7, 2)]
+    together = increments_paths(specs, 0.2, 0.01, 40)
+    alone = [increments(spec, 0.2, 0.01, 40) for spec in specs]
+    assert all(np.array_equal(a.increments, b.increments) for a, b in zip(together, alone))
+    fine = refine_paths(refine_paths(together, 2), 3)
+    fine_alone = [refine(refine(block, 2), 3) for block in alone]
+    for a, b in zip(fine, fine_alone):
+        assert (a.dt, a.step0, a.level) == (b.dt, b.step0, b.level)
+        assert np.array_equal(a.increments, b.increments)
+
+
 def test_increments_immutable():
     block = increments(PathSpec(1, 0, 1), 0.0, 0.1, 5)
     with pytest.raises(ValueError):
@@ -135,7 +147,7 @@ def test_extreme_words_map_inside_the_unit_interval():
 
 
 def test_mapping_pinned_values():
-    z = _standard_normals(PathSpec(master_seed=99, path_index=3, n_processes=5), 0, 1000, 4)
+    z, = _standard_normals([(PathSpec(master_seed=99, path_index=3, n_processes=5), 0, 1000, 4)])
     assert [v.hex() for v in z.tolist()] == [
         "0x1.63d36c1211c48p+0", "0x1.6470dce03126fp-3",
         "-0x1.b99ae7c0f43eap+0", "0x1.2dd343c3ee81ep-2"]

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import smooth_field, transport_system
 from stochns import studies
-from stochns.brownian import PathSpec, increments, refine
+from stochns.brownian import PathSpec, increments, refine, refine_paths
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
 from stochns.fields import (GevreyWeight, pack_ball, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer, unpack_ball,
@@ -634,17 +634,18 @@ def test_linear_oracle_chunks_match_per_path_integration():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_linear_oracle_averages_finite_paths_only(monkeypatch):
     # a NaN increment at the second dt level makes path 1 non-finite there
-    def refine_nan(block, factor):
-        fine = refine(block, factor)
-        if block.spec.path_index != 1:
-            return fine
-        dw = fine.increments.copy()
-        dw[3, 0] = np.nan
-        return dataclasses.replace(fine, increments=dw)
+    def refine_nan(blocks, factor):
+        fines = refine_paths(blocks, factor)
+        for p, fine in enumerate(fines):
+            if fine.spec.path_index == 1:
+                dw = fine.increments.copy()
+                dw[3, 0] = np.nan
+                fines[p] = dataclasses.replace(fine, increments=dw)
+        return fines
 
     config = _small_oracle_config()
     strong, modulus = _oracle_reference(config)
-    monkeypatch.setattr(studies, "refine", refine_nan)
+    monkeypatch.setattr(studies, "refine_paths", refine_nan)
     result = studies.linear_oracle_study(config)
     assert list(result.nonfinite) == [1]
     assert result.nonfinite[1] == "non-finite coefficient at t=0.01 (step 4, dt=0.0025)"
