@@ -178,6 +178,7 @@ def cmd_decay_study(config: ExperimentConfig, out_dir: Path) -> int:
     rec.extra["fit"] = None if result.fit is None else {
         "rate": result.fit.decay_rate, "r_squared": result.fit.r_squared,
         "n_points": result.fit.n_points}
+    rec.extra["dt_stability"] = result.dt_stability
     rec.extra["nonfinite_paths"] = [o.path_index for o in result.outcomes if o.nonfinite]
     rec.write()
     if rec.extra["nonfinite_paths"]:

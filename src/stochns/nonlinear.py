@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations
 
 import numpy as np
 import numpy.fft as _fft
@@ -123,35 +123,92 @@ def convect_plan(lattice: WaveLattice, cutoff: int | None = None) -> ConvectPlan
     return plan
 
 
-def _to_grid(plan: ConvectPlan, c: np.ndarray) -> np.ndarray:
-    """Grid values of packed input stacks c, shape (m, n_in): one axis at a
-    time, each full axis on the box lines only, the last-axis irfft last."""
-    lat = plan.lattice
-    n = lat.grid_n
-    rows, cols = plan.in_box
-    box = np.zeros((c.shape[0], n) + (2 * rows + 1,) * (lat.dim - 2) + (cols + 1,),
-                   dtype=np.complex128)
-    box.reshape(c.shape[0], -1)[:, plan.scatter] = c
-    box = _fft.ifft(box, axis=1)
-    if lat.dim == 3:  # pad the compact middle axis to n, then transform it
-        padded = np.zeros(box.shape[:2] + (n, cols + 1), dtype=np.complex128)
-        padded[:, :, :rows + 1] = box[:, :, :rows + 1]
-        padded[:, :, n - rows:] = box[:, :, rows + 1:]
-        box = _fft.ifft(padded, axis=2)
-    return _fft.irfft(box, n=n, axis=-1)
+class _Work:
+    """Work arrays of one `convect` call, reused for each of its components.
+
+    box and padded are zero off the lines `_to_grid` writes, so they need no
+    clearing between components. The arrays live only as long as the call:
+    plans and steppers are shared by threads.
+    """
+
+    def __init__(self, plan: ConvectPlan):
+        lat = plan.lattice
+        n = lat.grid_n
+        (rows, cols), (out_rows, out_cols) = plan.in_box, plan.out_box
+        box_shape = (n,) + (2 * rows + 1,) * (lat.dim - 2) + (cols + 1,)
+        self.box = np.zeros(box_shape, dtype=np.complex128)
+        self.line = np.empty(box_shape, dtype=np.complex128)
+        self.padded = (np.zeros((n, n, cols + 1), dtype=np.complex128)
+                       if lat.dim == 3 else None)
+        self.spec = np.empty(lat.grid_shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+        self.crop = np.empty((n,) + (2 * out_rows + 1,) * (lat.dim - 2) + (out_cols + 1,),
+                             dtype=np.complex128)
 
 
-def _to_modes(plan: ConvectPlan, values: np.ndarray) -> np.ndarray:
-    """Unnormalised spectra of real grid values (m,) + grid_shape on the output
-    modes, shape (m, n_out): each axis keeps only the box lines still needed."""
-    lat = plan.lattice
-    n = lat.grid_n
+def _to_grid(plan: ConvectPlan, c: np.ndarray, work: _Work, out: np.ndarray) -> np.ndarray:
+    """Grid values of one packed input component c, shape (n_in,), into out:
+    box scatter, first-axis ifft, [3D: pad the compact middle axis to n,
+    middle-axis ifft], last-axis irfft. Each full axis runs on the box lines
+    only."""
+    n = plan.lattice.grid_n
+    rows = plan.in_box[0]
+    work.box.reshape(-1)[plan.scatter] = c
+    line = _fft.ifft(work.box, axis=0, out=work.line)
+    if work.padded is None:
+        return _fft.irfft(line, n=n, axis=-1, out=out)
+    padded = work.padded  # zero rows between the two blocks
+    padded[:, :rows + 1] = line[:, :rows + 1]
+    padded[:, n - rows:] = line[:, rows + 1:]
+    _fft.irfft(_fft.ifft(padded, axis=1, out=padded), n=n, axis=-1, out=out)
+    padded[:, rows + 1:n - rows] = 0.0  # the transform filled them
+    return out
+
+
+def _to_modes(plan: ConvectPlan, values: np.ndarray, work: _Work) -> np.ndarray:
+    """Unnormalised spectrum of one real grid product on the output modes,
+    shape (n_out,): rfft, [3D: middle axis, then crop to the box rows],
+    first axis, gather; each axis keeps only the box lines still needed."""
+    n = plan.lattice.grid_n
     rows, cols = plan.out_box
-    spec = _fft.rfft(values, axis=-1)[..., :cols + 1]
-    if lat.dim == 3:  # keep the middle-axis rows of the box
-        spec = np.take(_fft.fft(spec, axis=2), np.r_[:rows + 1, n - rows:n], axis=2)
-    spec = _fft.fft(spec, axis=1)
-    return spec.reshape(values.shape[0], -1)[:, plan.gather]
+    spec = _fft.rfft(values, axis=-1, out=work.spec)[..., :cols + 1]
+    if values.ndim == 3:
+        _fft.fft(spec, axis=1, out=spec)
+        work.crop[:, :rows + 1] = spec[:, :rows + 1]
+        work.crop[:, rows + 1:] = spec[:, n - rows:]
+        spec = work.crop
+    return _fft.fft(spec, axis=0, out=work.crop).reshape(-1)[plan.gather]
+
+
+def _same_data(u: np.ndarray, v: np.ndarray) -> bool:
+    """True when u and v are views of the same values: one data pointer,
+    shape, strides and dtype (c[p] twice gives two such views)."""
+    return u is v or (u.__array_interface__["data"][0] == v.__array_interface__["data"][0]
+                      and u.shape == v.shape and u.strides == v.strides
+                      and u.dtype == v.dtype)
+
+
+def _trace_free(grid: np.ndarray, prod: np.ndarray):
+    """The independent entries (j, m) of u (x) u - |u|^2 I / dim on the grid
+    values grid = (u_1, ..., u_dim), each written into prod in turn: the
+    diagonal entries but the last, then j < m. The last diagonal entry is
+    minus the sum of the others."""
+    dim = grid.shape[0]
+    if dim == 2:  # (u1^2 - u2^2) / 2
+        tmp = np.multiply(grid[1], grid[1])
+        np.multiply(grid[0], grid[0], out=prod)
+        prod -= tmp
+        prod *= 0.5
+        yield 0, 0
+    else:
+        third = np.einsum("j...,j...->...", grid, grid)
+        third /= 3.0
+        for i in range(dim - 1):
+            np.multiply(grid[i], grid[i], out=prod)
+            prod -= third
+            yield i, i
+    for j, m in combinations(range(dim), 2):
+        np.multiply(grid[j], grid[m], out=prod)
+        yield j, m
 
 
 def convect(u, v, plan: ConvectPlan | None = None):
@@ -161,8 +218,9 @@ def convect(u, v, plan: ConvectPlan | None = None):
     equals the advective form only when u is solenoidal; otherwise the result
     also holds v div u. Inputs are expected dealiased and divergence-free,
     and then the form is exact on every retained mode. When u and v hold the
-    same coefficient array only the dim(dim+1)/2 symmetric products u_j u_m
-    are formed.
+    same values (one array, or two views of the same data), only the
+    trace-free tensor u (x) u - |u|^2 I / dim is transformed: its dropped
+    part is the gradient of |u|^2 / dim, which the projection removes.
 
     u and v are SpectralFields, read on their active modes, and the result
     is a SpectralField on the dealias mask. With a plan they are the packed
@@ -174,31 +232,37 @@ def convect(u, v, plan: ConvectPlan | None = None):
         require_same_lattice(u, v)
         plan = convect_plan(u.lattice)
         active = u.lattice.active
-        same = u.coeffs is v.coeffs
+        same = _same_data(u.coeffs, v.coeffs)
         u = u.coeffs[:, active]
         v = u if same else v.coeffs[:, active]
     lat = plan.lattice
     dim = lat.dim
-    symmetric = u is v  # then u_j u_m once per pair j <= m
+    work = _Work(plan)
+    u_phys = np.empty((dim,) + lat.grid_shape)
+    for j in range(dim):
+        _to_grid(plan, u[j], work, u_phys[j])
+    prod = np.empty(lat.grid_shape)
 
-    grid = _to_grid(plan, u if symmetric else np.concatenate((u, v)))
-    u_phys = grid[:dim]
-    v_phys = u_phys if symmetric else grid[dim:]
-    pairs = list(combinations_with_replacement(range(dim), 2) if symmetric
-                 else product(range(dim), repeat=2))
-    prod = np.empty((len(pairs),) + lat.grid_shape)
-    for p, (j, m) in enumerate(pairs):
-        np.multiply(u_phys[j], v_phys[m], out=prod[p])
-    del grid, u_phys, v_phys  # free the grid values before the forward transforms
     # ik carries n_modes (the scaled inverse transforms) and the dealias mask
-    prod_hat = _to_modes(plan, prod)
-
     ik = plan.ik
     acc = np.zeros((dim, ik.shape[-1]), dtype=np.complex128)
-    for p, (j, m) in enumerate(pairs):  # each acc[m] sums over j in order
-        acc[m] += ik[j] * prod_hat[p]
-        if symmetric and j != m:
-            acc[j] += ik[m] * prod_hat[p]
+    if _same_data(u, v):
+        last = dim - 1
+        for j, m in _trace_free(u_phys, prod):
+            s_hat = _to_modes(plan, prod, work)
+            if j == m:      # S_last,last = -(sum of the other diagonal entries)
+                acc[j] += ik[j] * s_hat
+                acc[last] -= ik[last] * s_hat
+            else:
+                acc[m] += ik[j] * s_hat
+                acc[j] += ik[m] * s_hat
+    else:
+        v_m = np.empty(lat.grid_shape)
+        for m in range(dim):
+            _to_grid(plan, v[m], work, v_m)
+            for j in range(dim):
+                np.multiply(u_phys[j], v_m, out=prod)
+                acc[m] += ik[j] * _to_modes(plan, prod, work)
     out = acc - plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
     if field_result:
         coeffs = np.zeros((dim,) + lat.shape, dtype=np.complex128)

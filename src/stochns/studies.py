@@ -26,8 +26,8 @@ from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
                      unpack_ball, weighted_inner, validate_physical)
 from .noise import validate_system
-from .sde import (PathStack, Trajectory, _Stepper, _advance, initial_state,
-                  integrate_paths, linear_exact, step, tau_r_reached)
+from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability_bound,
+                  initial_state, integrate_paths, linear_exact, step, tau_r_reached)
 
 
 # bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
@@ -147,6 +147,8 @@ class DecayResult:
     mean_errors: list[float]   # per cutoff; empty when no path stayed finite
     std_errors: list[float]
     fit: diagnostics.FitResult | None
+    # per cutoff, then n_ref: dt against the step-size rule at ||u0^N||_H1
+    dt_stability: list[dict]
 
 
 def decay_study(config: ExperimentConfig) -> DecayResult:
@@ -174,6 +176,11 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     starts = {n: initial_state(transfer(u0, lattices[n]), steppers[n].cfg) for n in runs}
     n_steps = steppers[n_ref].cfg.n_steps
     dt = steppers[n_ref].cfg.dt
+    dt_stability = []
+    for n in runs:
+        bound = dt_stability_bound(steppers[n].cfg, system,
+                                   math.sqrt(max(starts[n].initial_h1_sq, 0.0)))
+        dt_stability.append({"N": n, "dt": dt, "bound": bound, "ratio": dt / bound})
 
     def error_sq(u_ref, u_n) -> float:
         return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
@@ -234,7 +241,8 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
         except diagnostics.FitRefusedError:
             fit = None
     return DecayResult(cutoffs=cutoffs, n_ref=n_ref, outcomes=outcomes,
-                       mean_errors=mean_errors, std_errors=std_errors, fit=fit)
+                       mean_errors=mean_errors, std_errors=std_errors, fit=fit,
+                       dt_stability=dt_stability)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from stochns import studies
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.config import ExperimentConfig, default_oracle_config
+from stochns.fields import galerkin_project, sobolev_norm_sq
 from stochns.lattice import build_lattice
+from stochns.sde import dt_stability_bound
 from stochns.snapshots import sha256_file
 
 TINY = {
@@ -292,6 +295,29 @@ def test_decay_study_smoke(tmp_path):
     assert len(lines) == 4
     errs = [float(l.split(",")[1]) for l in lines[1:]]
     assert errs[0] > errs[-1]
+
+
+def test_decay_study_records_dt_stability(tmp_path):
+    # dt 0.025 is above the step-size rule at N 8, so the ratio exceeds 1 there
+    cfg = write_config(tmp_path, {
+        "lattice": {"grid_n": 32},
+        "galerkin": {"cutoffs": [2, 3, 4], "n_ref": 8},
+        "physics": {"t_end": 0.05, "dt": 0.025, "nu": 0.05, "convection": True},
+        "ensemble": {"n_paths": 2, "workers": 1, "master_seed": 9001}})
+    out = tmp_path / "dec"
+    assert main(["decay-study", "--config", str(cfg), "--out", str(out)]) == 0
+    margins = json.loads((out / "run_record.json").read_text())["dt_stability"]
+    assert [m["N"] for m in margins] == [2, 3, 4, 8]
+    config = ExperimentConfig.from_file(cfg)
+    _, system, u0, _ = studies.prepare(config)
+    for m in margins:
+        h1 = math.sqrt(sobolev_norm_sq(galerkin_project(u0, m["N"]), 1.0))
+        bound = dt_stability_bound(config.stepper_config(m["N"]), system, h1)
+        assert m["dt"] == 0.025
+        assert m["bound"] == pytest.approx(bound, rel=1e-12)
+        assert m["ratio"] == m["dt"] / m["bound"]
+    ratios = [m["ratio"] for m in margins]   # the bound shrinks as N grows
+    assert ratios == sorted(ratios) and ratios[-1] > 1.0
 
 
 def test_decay_study_additive_noise_smoke(tmp_path):

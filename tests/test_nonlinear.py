@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,52 @@ def test_ball_modes_outside_dealias_mask_get_no_convection():
     assert np.all(out[:, outside] == 0.0)
     ref = pack_ball(unpruned_reference(lat, u.coeffs, u.coeffs), lat, 16)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 100, 32), (3, 16, 4)])
+def test_convect_views_of_one_array_take_the_symmetric_path(dim, grid, cutoff):
+    # the stepper's call: c[p] twice gives two view objects of the same data
+    lat = build_lattice(dim, grid)
+    plan = convect_plan(lat, cutoff)
+    c = np.stack([pack_ball(ball_field(lat, cutoff, seed=s).coeffs, lat, cutoff)
+                  for s in (22, 23)])
+    u = c[1]
+    sym = convect(u, u, plan)
+    assert np.array_equal(convect(c[1], c[1], plan), sym)
+    general = convect(u, u.copy(), plan)   # the dim^2 products: other roundoff
+    assert not np.array_equal(general, sym)
+    assert np.abs(general - sym).max() <= 1e-14 * np.abs(general).max()
+
+
+def test_convect_threads_sharing_a_plan_match_sequential_calls():
+    # more threads than cores on one cached plan, each on its own input: a
+    # work array kept between calls would mix their values
+    lat = build_lattice(3, 48)
+    plan = convect_plan(lat, 16)
+    inputs = [pack_ball(ball_field(lat, 16, seed=s).coeffs, lat, 16) for s in (24, 25, 26)]
+    expected = [convect(c, c, plan) for c in inputs]
+    start = threading.Barrier(len(inputs))
+    results = [[] for _ in inputs]
+
+    def run(i):
+        start.wait()
+        for _ in range(6):
+            results[i].append(convect(inputs[i], inputs[i], plan))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, want in zip(results, expected):
+        assert len(got) == 6
+        assert all(np.array_equal(r, want) for r in got)
 
 
 def test_convect_lattice_mismatch(lat16, lat32):
