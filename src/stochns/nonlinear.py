@@ -5,9 +5,19 @@ axis up to n/2), the layout `irfftn` reads and `rfftn` writes. Transforms
 are numpy's (`numpy.fft`, the C++ pocketfft of numpy 2). Convection
 takes the divergence form div(u (x) v), exact for solenoidal u: the products
 u_j v_m are formed on the native grid and truncated with the lattice's
-2/3-rule mask, which is exact for quadratic products of masked inputs.
+2/3-rule mask, which is exact for quadratic products of masked inputs. For
+u = v only the trace-free tensor u (x) u - |u|^2 I / dim is transformed
+(Basdevant 1983): its dropped part is a gradient, which the Leray projection
+removes. That is (u1^2 - u2^2)/2 and u1 u2 in 2D; in 3D, u_i^2 - |u|^2/3 for
+i = 1, 2 and the three off-diagonal products, S33 = -(S11 + S22) being taken
+in spectral space. The products stay quadratic in masked inputs, so
+dealiasing stays exact.
 
-Its transforms are pruned (Markel's FFT pruning) to the lines the mode sets
+The pipeline handles one component at a time, through work arrays that the
+call allocates and reuses for each component: each velocity component goes
+to the grid alone, and each product comes back alone. Nothing is kept
+between calls, because plans and steppers are shared by threads. Its
+transforms are pruned (Markel's FFT pruning) to the lines the mode sets
 touch. An input on modes with |k_i| <= R on the full axes and k_last <= C
 goes to the grid one axis at a time: each full axis is transformed only on
 the lines whose other coordinates lie in that box, with zero rows padded in
@@ -123,92 +133,80 @@ def convect_plan(lattice: WaveLattice, cutoff: int | None = None) -> ConvectPlan
     return plan
 
 
-class _Work:
-    """Work arrays of one `convect` call, reused for each of its components.
-
-    box and padded are zero off the lines `_to_grid` writes, so they need no
-    clearing between components. The arrays live only as long as the call:
-    plans and steppers are shared by threads.
-    """
-
-    def __init__(self, plan: ConvectPlan):
-        lat = plan.lattice
-        n = lat.grid_n
-        (rows, cols), (out_rows, out_cols) = plan.in_box, plan.out_box
-        box_shape = (n,) + (2 * rows + 1,) * (lat.dim - 2) + (cols + 1,)
-        self.box = np.zeros(box_shape, dtype=np.complex128)
-        self.line = np.empty(box_shape, dtype=np.complex128)
-        self.padded = (np.zeros((n, n, cols + 1), dtype=np.complex128)
-                       if lat.dim == 3 else None)
-        self.spec = np.empty(lat.grid_shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
-        self.crop = np.empty((n,) + (2 * out_rows + 1,) * (lat.dim - 2) + (out_cols + 1,),
-                             dtype=np.complex128)
-
-
-def _to_grid(plan: ConvectPlan, c: np.ndarray, work: _Work, out: np.ndarray) -> np.ndarray:
-    """Grid values of one packed input component c, shape (n_in,), into out:
-    box scatter, first-axis ifft, [3D: pad the compact middle axis to n,
-    middle-axis ifft], last-axis irfft. Each full axis runs on the box lines
-    only."""
-    n = plan.lattice.grid_n
-    rows = plan.in_box[0]
-    work.box.reshape(-1)[plan.scatter] = c
-    line = _fft.ifft(work.box, axis=0, out=work.line)
-    if work.padded is None:
-        return _fft.irfft(line, n=n, axis=-1, out=out)
-    padded = work.padded  # zero rows between the two blocks
-    padded[:, :rows + 1] = line[:, :rows + 1]
-    padded[:, n - rows:] = line[:, rows + 1:]
-    _fft.irfft(_fft.ifft(padded, axis=1, out=padded), n=n, axis=-1, out=out)
-    padded[:, rows + 1:n - rows] = 0.0  # the transform filled them
+def _to_grid(plan: ConvectPlan, c: np.ndarray) -> np.ndarray:
+    """Grid values of packed input components c, shape (m, n_in), as an array
+    (m,) + grid_shape. Each component goes alone: box scatter, first-axis
+    ifft, [3D: pad the compact middle axis to n, middle-axis ifft],
+    last-axis irfft, each full axis on the box lines only. The box and the
+    padded array stay zero off the lines written, so they serve each
+    component in turn."""
+    lat = plan.lattice
+    n = lat.grid_n
+    rows, cols = plan.in_box
+    out = np.empty((c.shape[0],) + lat.grid_shape)
+    box = np.zeros((n,) + (2 * rows + 1,) * (lat.dim - 2) + (cols + 1,), dtype=np.complex128)
+    line = np.empty_like(box)
+    padded = np.zeros((n, n, cols + 1), dtype=np.complex128) if lat.dim == 3 else None
+    for c_j, out_j in zip(c, out):
+        box.reshape(-1)[plan.scatter] = c_j
+        _fft.ifft(box, axis=0, out=line)
+        if padded is None:
+            _fft.irfft(line, n=n, axis=-1, out=out_j)
+            continue
+        padded[:, :rows + 1] = line[:, :rows + 1]
+        padded[:, n - rows:] = line[:, rows + 1:]
+        _fft.irfft(_fft.ifft(padded, axis=1, out=padded), n=n, axis=-1, out=out_j)
+        padded[:, rows + 1:n - rows] = 0.0  # the transform filled them
     return out
 
 
-def _to_modes(plan: ConvectPlan, values: np.ndarray, work: _Work) -> np.ndarray:
+def _to_modes(plan: ConvectPlan, values: np.ndarray, spec: np.ndarray,
+              crop: np.ndarray) -> np.ndarray:
     """Unnormalised spectrum of one real grid product on the output modes,
-    shape (n_out,): rfft, [3D: middle axis, then crop to the box rows],
-    first axis, gather; each axis keeps only the box lines still needed."""
+    shape (n_out,): rfft into spec, [3D: middle axis, then crop to the box
+    rows], first axis into crop, gather; each axis keeps only the box lines
+    still needed. spec and crop are the caller's work arrays."""
     n = plan.lattice.grid_n
     rows, cols = plan.out_box
-    spec = _fft.rfft(values, axis=-1, out=work.spec)[..., :cols + 1]
+    spec = _fft.rfft(values, axis=-1, out=spec)[..., :cols + 1]
     if values.ndim == 3:
         _fft.fft(spec, axis=1, out=spec)
-        work.crop[:, :rows + 1] = spec[:, :rows + 1]
-        work.crop[:, rows + 1:] = spec[:, n - rows:]
-        spec = work.crop
-    return _fft.fft(spec, axis=0, out=work.crop).reshape(-1)[plan.gather]
+        crop[:, :rows + 1] = spec[:, :rows + 1]
+        crop[:, rows + 1:] = spec[:, n - rows:]
+        spec = crop
+    return _fft.fft(spec, axis=0, out=crop).reshape(-1)[plan.gather]
 
 
 def _same_data(u: np.ndarray, v: np.ndarray) -> bool:
     """True when u and v are views of the same values: one data pointer,
     shape, strides and dtype (c[p] twice gives two such views)."""
-    return u is v or (u.__array_interface__["data"][0] == v.__array_interface__["data"][0]
-                      and u.shape == v.shape and u.strides == v.strides
-                      and u.dtype == v.dtype)
+    return u is v or u.__array_interface__ == v.__array_interface__
 
 
 def _trace_free(grid: np.ndarray, prod: np.ndarray):
-    """The independent entries (j, m) of u (x) u - |u|^2 I / dim on the grid
-    values grid = (u_1, ..., u_dim), each written into prod in turn: the
-    diagonal entries but the last, then j < m. The last diagonal entry is
-    minus the sum of the others."""
+    """The independent entries (j, m) of u (x) u - |u|^2 I / dim, written
+    into prod in turn from the grid values grid = (u_1, ..., u_dim): first
+    j < m, then the diagonal entries but the last, which is minus the sum of
+    the others. The diagonal entries are formed in grid, overwriting it."""
     dim = grid.shape[0]
-    if dim == 2:  # (u1^2 - u2^2) / 2
-        tmp = np.multiply(grid[1], grid[1])
-        np.multiply(grid[0], grid[0], out=prod)
-        prod -= tmp
-        prod *= 0.5
-        yield 0, 0
-    else:
-        third = np.einsum("j...,j...->...", grid, grid)
-        third /= 3.0
-        for i in range(dim - 1):
-            np.multiply(grid[i], grid[i], out=prod)
-            prod -= third
-            yield i, i
     for j, m in combinations(range(dim), 2):
         np.multiply(grid[j], grid[m], out=prod)
         yield j, m
+    if dim == 2:  # (u1^2 - u2^2) / 2 = (u1 + u2) (u1 - u2) / 2
+        np.add(grid[0], grid[1], out=prod)
+        grid[0] -= grid[1]
+        prod *= grid[0]
+        prod *= 0.5
+        yield 0, 0
+        return
+    grid *= grid
+    mean = grid[-1]  # |u|^2 / dim, in place of u_dim^2
+    for square in grid[:-1]:
+        mean += square
+    mean /= dim
+    for i in range(dim - 1):
+        np.subtract(grid[i], mean, out=prod)
+        yield i, i
 
 
 def convect(u, v, plan: ConvectPlan | None = None):
@@ -237,11 +235,14 @@ def convect(u, v, plan: ConvectPlan | None = None):
         v = u if same else v.coeffs[:, active]
     lat = plan.lattice
     dim = lat.dim
-    work = _Work(plan)
-    u_phys = np.empty((dim,) + lat.grid_shape)
-    for j in range(dim):
-        _to_grid(plan, u[j], work, u_phys[j])
+    n = lat.grid_n
+    rows, cols = plan.out_box
+    # work arrays of this call only, reused for each product: plans and
+    # steppers are shared by threads
     prod = np.empty(lat.grid_shape)
+    spec = np.empty(lat.grid_shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    crop = np.empty((n,) + (2 * rows + 1,) * (dim - 2) + (cols + 1,), dtype=np.complex128)
+    u_phys = _to_grid(plan, u)
 
     # ik carries n_modes (the scaled inverse transforms) and the dealias mask
     ik = plan.ik
@@ -249,7 +250,7 @@ def convect(u, v, plan: ConvectPlan | None = None):
     if _same_data(u, v):
         last = dim - 1
         for j, m in _trace_free(u_phys, prod):
-            s_hat = _to_modes(plan, prod, work)
+            s_hat = _to_modes(plan, prod, spec, crop)
             if j == m:      # S_last,last = -(sum of the other diagonal entries)
                 acc[j] += ik[j] * s_hat
                 acc[last] -= ik[last] * s_hat
@@ -257,18 +258,17 @@ def convect(u, v, plan: ConvectPlan | None = None):
                 acc[m] += ik[j] * s_hat
                 acc[j] += ik[m] * s_hat
     else:
-        v_m = np.empty(lat.grid_shape)
+        v_phys = _to_grid(plan, v)
         for m in range(dim):
-            _to_grid(plan, v[m], work, v_m)
             for j in range(dim):
-                np.multiply(u_phys[j], v_m, out=prod)
-                acc[m] += ik[j] * _to_modes(plan, prod, work)
-    out = acc - plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
+                np.multiply(u_phys[j], v_phys[m], out=prod)
+                acc[m] += ik[j] * _to_modes(plan, prod, spec, crop)
+    acc -= plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
     if field_result:
         coeffs = np.zeros((dim,) + lat.shape, dtype=np.complex128)
-        coeffs[:, lat.dealias_mask] = out
+        coeffs[:, lat.dealias_mask] = acc
         return SpectralField(lat, coeffs, solenoidal=True)
-    return out
+    return acc
 
 
 def transport_multipliers(lattice: WaveLattice, xis) -> tuple[list[np.ndarray], np.ndarray]:
