@@ -25,7 +25,8 @@ from .config import ConfigError, ExperimentConfig
 from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
                      leray_project, random_field, sobolev_norm_sq, transfer,
                      unpack_ball, weighted_inner, validate_physical)
-from .noise import validate_system
+from .noise import (validate_commutativity, validate_growth_lipschitz,
+                    validate_orthogonality, validate_system)
 from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability_bound,
                   initial_state, integrate_paths, linear_exact, step, tau_r_reached)
 
@@ -62,14 +63,17 @@ def _path_bytes(lattice, cutoffs, n_steps: int, n_wiener: int) -> int:
 
 
 def prepare(config: ExperimentConfig):
-    """Shared setup: lattice, validated noise system, initial field."""
+    """Shared setup: lattice, validated noise system, initial field.
+
+    A noise system that fails the closed-form gate `noise.validate_system`
+    (which samples no field) is refused with ConfigError.
+    """
     lattice = config.build_lattice()
-    system = config.build_noise_system(lattice)
-    system, report = validate_system(system, lattice, config.gevrey_weight(phi=0.0))
-    if not system.validated:
-        raise ConfigError(f"noise system failed validation: {report.summary()}")
-    u0 = config.initial_field(lattice)
-    return lattice, system, u0, report
+    try:
+        system = validate_system(config.build_noise_system(lattice))
+    except ValueError as exc:
+        raise ConfigError(f"noise system failed validation: {exc}") from exc
+    return lattice, system, config.initial_field(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ class SimulateResult:
 
 def simulate(config: ExperimentConfig) -> SimulateResult:
     """Ensemble run at N = n_ref with shell spectra and radius fits per path."""
-    lattice, system, u0, _ = prepare(config)
+    lattice, system, u0 = prepare(config)
     cfg = config.stepper_config(config["galerkin.n_ref"])
     stride = config["outputs.snapshot_stride"]
     burn_in = config.burn_in_time()
@@ -163,7 +167,7 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     first step boundary at which the paired H^2 integral reaches R
     (`sde.tau_r_reached`, the rule `sde.monitor_tau_R` applies).
     """
-    lattice, system, u0, _ = prepare(config)
+    lattice, system, u0 = prepare(config)
     cutoffs = sorted(config["galerkin.cutoffs"])
     if len(cutoffs) < 3:
         raise ConfigError("decay study needs at least 3 cutoffs")
@@ -281,7 +285,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
         raise ConfigError("linear oracle requires physics.convection = false")
     if config["noise.multiplicative.variant"] != "zero":
         raise ConfigError("linear oracle requires zero multiplicative noise")
-    lattice, system, u0, _ = prepare(config)
+    lattice, system, u0 = prepare(config)
     if len(system.xi.index_set) != 1:
         raise ConfigError("linear oracle requires exactly one constant transport vector")
     xi_vec = np.asarray(system.xi.vectors[0])
@@ -367,7 +371,7 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
     budget stop came earlier. It stays in the denominator, and
     `nonfinite` lists it under its cutoff.
     """
-    lattice, system, u0, _ = prepare(config)
+    lattice, system, u0 = prepare(config)
     horizons = sorted(horizons, reverse=True)
     t_max = horizons[0]
     fractions = {}
@@ -492,33 +496,39 @@ def invariant_checks(config: ExperimentConfig, seed: int = 12) -> list[CheckResu
     add("convective_energy_orthogonality",
         abs(weighted_inner(cu, u)) / sobolev_norm_sq(u, 1.0), 1e-11)
 
-    sys_v, report = validate_system(system, lattice, config.gevrey_weight(phi=0.0))
-    add("noise_orthogonality", 0.0 if report.orthogonality.ok else report.orthogonality.worst_inner,
-        1e-12, detail="structural" if report.orthogonality.structural else "evaluated")
-    add("noise_growth_lipschitz_finite",
-        0.0 if report.growth_lipschitz.finite else 1.0, 0.5)
+    ortho = validate_orthogonality(system, lattice, w)
+    add("noise_orthogonality", 0.0 if ortho.ok else ortho.worst_inner,
+        1e-12, detail="structural" if ortho.structural else "evaluated")
+    growth = validate_growth_lipschitz(system, lattice, w, n_samples=4, seed=0)
+    add("noise_growth_lipschitz_finite", 0.0 if growth.finite else 1.0, 0.5)
     if system.g.variant == "linear":
         expected = sum(abs(c) for c in system.g.coefficients)
         add("linear_lipschitz_equals_sum",
-            abs(report.growth_lipschitz.c_lipschitz - expected) / max(expected, 1e-30), 1e-12)
-    if report.commutativity_residuals:
-        add("commutativity_constant_xi", max(report.commutativity_residuals), 1e-10)
+            abs(growth.c_lipschitz - expected) / max(expected, 1e-30), 1e-12)
+    if system.xi.vectors:
+        probe = nonlinear.dealias(random_field(lattice, np.random.default_rng(1),
+                                               envelope=lambda k: np.exp(-0.5 * k)))
+        add("commutativity_constant_xi",
+            max(validate_commutativity(xi, probe, w, r=w.r) for xi in system.xi.vectors),
+            1e-10)
 
-    if sys_v.validated:
-        cfg = config.stepper_config(min(config["galerkin.cutoffs"]))
-        u0 = config.initial_field(lattice)
-        state = initial_state(u0, cfg)
-        row = increments(config.path_spec(0, sys_v.n_wiener), 0.0, cfg.dt, 3)
-        worst_div = worst_mean = 0.0
-        for i in range(3):
-            state = step(state, cfg, sys_v, row.increments[i])
-            rep = validate_physical(state.u)
-            worst_div = max(worst_div, rep.divergence_residual or 0.0)
-            worst_mean = max(worst_mean, rep.mean_residual)
-        step_scale = max(float(np.abs(state.u.coeffs).max()), 1e-30)
-        add("step_preserves_divergence_free", worst_div / step_scale, 1e-12)
-        add("step_preserves_mean_free", worst_mean / step_scale, 1e-12)
-    else:
+    try:
+        sys_v = validate_system(system)
+    except ValueError:
         add("noise_system_gate", 1.0, 0.5, detail="validation failed; integrator gated")
+        return results
 
+    cfg = config.stepper_config(min(config["galerkin.cutoffs"]))
+    u0 = config.initial_field(lattice)
+    state = initial_state(u0, cfg)
+    row = increments(config.path_spec(0, sys_v.n_wiener), 0.0, cfg.dt, 3)
+    worst_div = worst_mean = 0.0
+    for i in range(3):
+        state = step(state, cfg, sys_v, row.increments[i])
+        rep = validate_physical(state.u)
+        worst_div = max(worst_div, rep.divergence_residual or 0.0)
+        worst_mean = max(worst_mean, rep.mean_residual)
+    step_scale = max(float(np.abs(state.u.coeffs).max()), 1e-30)
+    add("step_preserves_divergence_free", worst_div / step_scale, 1e-12)
+    add("step_preserves_mean_free", worst_mean / step_scale, 1e-12)
     return results

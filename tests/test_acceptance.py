@@ -90,7 +90,7 @@ def test_c03_transport_energy_identity():
         },
         "ensemble": {"n_paths": 32, "master_seed": 77, "workers": 2},
     })
-    lattice, system, u0, _ = studies.prepare(cfg)
+    lattice, system, u0 = studies.prepare(cfg)
     scfg = cfg.stepper_config(16)
     vals = []
     paths = [cfg.path_spec(p, system.n_wiener) for p in range(32)]
@@ -159,7 +159,7 @@ def test_c04_structural_identities():
     from conftest import transport_system
     from stochns.sde import StepperConfig, step
     from stochns.brownian import increments
-    system = transport_system(lat, [np.array([0.5, 0.1])], g_coeffs=[0.1])
+    system = transport_system([np.array([0.5, 0.1])], g_coeffs=[0.1])
     cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.01, cutoff=8)
     state = initial_state(random_h1_field(lat, seed=10, k0=1.0), cfg)
     rows = increments(PathSpec(3, 0, 2), 0.0, cfg.dt, 5).increments
@@ -189,7 +189,7 @@ def test_c05_enstrophy_decay():
         },
         "ensemble": {"n_paths": 1, "master_seed": 1},
     })
-    lattice, system, u0, _ = studies.prepare(cfg)
+    lattice, system, u0 = studies.prepare(cfg)
     traj = integrate(cfg.stepper_config(21), system, cfg.path_spec(0, 0), u0,
                      store_every=10 ** 9)
     h1 = traj.series["h1_sq"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochns import studies
+from stochns import fields, noise, studies
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.config import ExperimentConfig, default_oracle_config
@@ -216,6 +216,42 @@ def test_invariants_command_pass_and_fail(tmp_path, capsys):
     assert "noise_orthogonality" in table and "FAIL" in table
 
 
+def test_overlapping_index_sets_refused(tmp_path, capsys):
+    # g = 0 on the shared index makes every sampled cross inner product
+    # vanish, so only the index sets themselves show the overlap
+    data = json.loads(json.dumps(ExperimentConfig.default().data))
+    data["noise"]["multiplicative"] = {"variant": "linear", "coefficients": [0.0],
+                                       "index_set": [1]}
+    assert data["noise"]["transport"]["index_set"] == [1, 2, 3, 4]
+    cfg = tmp_path / "overlap.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "must be disjoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("multiplicative", [
+    TINY["noise"]["multiplicative"],
+    {"variant": "additive", "amplitudes": [0.4], "modes": [[1, 0]], "index_set": [0]},
+    {"variant": "zero", "coefficients": [], "index_set": []},
+], ids=["linear", "additive", "zero"])
+def test_prepare_draws_no_random_field(tmp_path, monkeypatch, multiplicative):
+    # the noise gate is decided in closed form; the one random field of a
+    # run's setup is the initial field, drawn here before the draws are refused
+    config = ExperimentConfig.from_file(
+        write_config(tmp_path, {"noise": {"multiplicative": multiplicative}}))
+    u0 = config.initial_field(config.build_lattice())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("setup drew random numbers")
+
+    monkeypatch.setattr(ExperimentConfig, "initial_field", lambda self, lattice: u0)
+    monkeypatch.setattr(noise, "random_field", refuse)
+    monkeypatch.setattr(fields, "random_field", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    _, system, u = studies.prepare(config)
+    assert system.validated and u is u0
+
+
 def test_linear_oracle_refuses_convection(tmp_path):
     cfg = write_config(tmp_path, {
         "physics": {"convection": True},
@@ -309,7 +345,7 @@ def test_decay_study_records_dt_stability(tmp_path):
     margins = json.loads((out / "run_record.json").read_text())["dt_stability"]
     assert [m["N"] for m in margins] == [2, 3, 4, 8]
     config = ExperimentConfig.from_file(cfg)
-    _, system, u0, _ = studies.prepare(config)
+    _, system, u0 = studies.prepare(config)
     for m in margins:
         h1 = math.sqrt(sobolev_norm_sq(galerkin_project(u0, m["N"]), 1.0))
         bound = dt_stability_bound(config.stepper_config(m["N"]), system, h1)

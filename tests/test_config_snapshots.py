@@ -126,7 +126,7 @@ def test_field_round_trip(tmp_path, lat32):
 
 
 def test_state_round_trip(tmp_path, lat32):
-    system = transport_system(lat32, [np.array([0.5, 0.0])])
+    system = transport_system([np.array([0.5, 0.0])])
     cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.01, cutoff=8, budget_m=1.01)
     traj = integrate(cfg, system, PathSpec(1, 0, 1),
                      random_h1_field(lat32, seed=2, k0=1.0))

@@ -62,7 +62,7 @@ def test_growth_lipschitz_additive(lat16):
     assert rep.c_growth > 0.0
 
 
-def test_xi_bound_conventions(lat16):
+def test_xi_bound_conventions():
     single = TransportNoise.constant([np.array([1.0, 0.0])], [0])
     assert abs(single.bound_k() - 1.0) <= 1e-14
 
@@ -70,9 +70,6 @@ def test_xi_bound_conventions(lat16):
     assert abs(fam.bound_k() - 3.0 * 15 / 16) <= 1e-12
 
     assert TransportNoise.empty().bound_k() == 0.0
-    system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=fam, n_wiener=4)
-    _, report = validate_system(system, lat16, W1)
-    assert report.xi_bound == fam.bound_k()
 
 
 def test_default_family_alternates_axes():
@@ -123,14 +120,40 @@ def test_orthogonality_overlap_violation_detected(lat16):
     assert not rep.ok and rep.worst_inner > 0.0
 
 
-def test_validate_system_gates_and_marks(lat16):
-    system = transport_system(lat16, [np.array([0.5, 0.0])], g_coeffs=[0.1])
-    assert system.validated
-    bad = NoiseSystem(
-        g=MultiplicativeNoise.additive([solenoidal_mode_field(lat16, (1, 0), 1.0)], [0]),
-        xi=TransportNoise.constant([np.array([1.0, 0.0])], [0]), n_wiener=1)
-    validated, report = validate_system(bad, lat16, W1)
-    assert not validated.validated and not report.ok
+def _gate_input(kind, lat):
+    sigma = solenoidal_mode_field(lat, (1, 0), np.inf if kind == "infinite-sigma" else 1.0)
+    xi = TransportNoise.constant([np.array([np.inf if kind == "infinite-xi" else 1.0, 0.0])], [1])
+    g = {"disjoint-linear": MultiplicativeNoise.linear([0.1], [0]),
+         "disjoint-additive": MultiplicativeNoise.additive([sigma], [0]),
+         "overlap-additive": MultiplicativeNoise.additive([sigma], [1]),
+         "overlap-zero-coefficient": MultiplicativeNoise.linear([0.0], [1]),
+         "nan-coefficient": MultiplicativeNoise.linear([float("nan")], [0]),
+         "infinite-xi": MultiplicativeNoise.zero(),
+         "infinite-sigma": MultiplicativeNoise.additive([sigma], [0]),
+         "sigma-with-mean": MultiplicativeNoise.additive(
+             [sigma.with_coeffs(sigma.coeffs + (lat.abs_k == 0))], [0])}[kind]
+    return NoiseSystem(g=g, xi=xi, n_wiener=2)
+
+
+@pytest.mark.parametrize("kind,match", [
+    ("disjoint-linear", None),
+    ("disjoint-additive", None),
+    ("overlap-additive", "disjoint"),
+    ("overlap-zero-coefficient", "disjoint"),
+    ("nan-coefficient", r"sum \|c_k\|"),
+    ("infinite-xi", r"sum \|xi_k\|"),
+    # an infinite amplitude times the field's zero coefficients warns (inf * 0)
+    pytest.param("infinite-sigma", "not finite",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    ("sigma-with-mean", "mean-free"),
+])
+def test_validate_system_gates_and_marks(lat16, kind, match):
+    system = _gate_input(kind, lat16)
+    if match is None:
+        assert validate_system(system).validated
+    else:
+        with pytest.raises(ValueError, match=match):
+            validate_system(system)
 
 
 def test_additive_sigma_gevrey_bounded(lat16):

@@ -8,7 +8,7 @@ from conftest import smooth_field, transport_system
 from stochns import studies
 from stochns.brownian import PathSpec, increments, refine, refine_paths
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
-from stochns.fields import (GevreyWeight, pack_ball, random_h1_field,
+from stochns.fields import (pack_ball, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer, unpack_ball,
                             validate_physical, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
@@ -28,13 +28,13 @@ def make_cfg(cutoff=8, **kw):
 
 
 @pytest.fixture(scope="module")
-def off_system(lat32):
-    return transport_system(lat32, [])
+def off_system():
+    return transport_system([])
 
 
 @pytest.fixture(scope="module")
-def xi_system(lat32):
-    return transport_system(lat32, [np.array([0.8, 0.0])])
+def xi_system():
+    return transport_system([np.array([0.8, 0.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_drift_shear_is_pure_stokes(lat32, off_system):
 
 
 def test_drift_corrector_contribution(lat32):
-    system = transport_system(lat32, [np.array([1.0, 0.0])])
+    system = transport_system([np.array([1.0, 0.0])])
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
     cfg = make_cfg(nu=0.05)
     out = drift(u, cfg, system)
@@ -71,7 +71,7 @@ def test_diffusion_additive_fields(lat32):
     sigma = solenoidal_mode_field(lat32, (1, 0), 0.3)
     system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
                          xi=TransportNoise.empty(), n_wiener=1)
-    system, _ = validate_system(system, lat32, GevreyWeight(s=1, r=1, phi=0.0))
+    system = validate_system(system)
     u = smooth_field(lat32, seed=2)
     outs = diffusion(u, make_cfg(), system)
     assert len(outs) == 1
@@ -83,7 +83,7 @@ def test_additive_sigma_carried_onto_stepper_lattice(lat16, lat32):
     sigma = solenoidal_mode_field(lat32, (2, 1), 0.3)
     system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
                          xi=TransportNoise.empty(), n_wiener=1)
-    system, _ = validate_system(system, lat32, GevreyWeight(s=1, r=1, phi=0.0))
+    system = validate_system(system)
     outs = diffusion(smooth_field(lat16, seed=2), make_cfg(cutoff=4), system)
     expected = np.where(lat16.ball_mask(4),
                         solenoidal_mode_field(lat16, (2, 1), 0.3).coeffs, 0.0)
@@ -107,15 +107,13 @@ def _additive_xi_system(lat):
     system = NoiseSystem(g=MultiplicativeNoise.additive(sigmas, [0, 1]),
                          xi=TransportNoise.constant(vectors, [2, 3]),
                          n_wiener=4)
-    system, report = validate_system(system, lat, GevreyWeight(s=1, r=1, phi=0.0))
-    assert system.validated, report.summary()
-    return system
+    return validate_system(system)
 
 
 @pytest.mark.parametrize("g_kind", ["linear", "additive"])
 def test_diffusion_sums_to_the_stepper_noise_sum(lat32, g_kind):
     if g_kind == "linear":
-        system = transport_system(lat32, [np.array([0.8, 0.1]), np.array([-0.3, 0.5])],
+        system = transport_system([np.array([0.8, 0.1]), np.array([-0.3, 0.5])],
                                   g_coeffs=[0.2, -0.1])
     else:
         system = _additive_xi_system(lat32)
@@ -163,7 +161,7 @@ def _batch_system(lat, g_kind):
     if g_kind == "additive":
         return _additive_xi_system(lat)
     pad = [0.0] * (lat.dim - 2)
-    return transport_system(lat, [np.array([0.8, 0.0] + pad), np.array([-0.3, -0.5] + pad)],
+    return transport_system([np.array([0.8, 0.0] + pad), np.array([-0.3, -0.5] + pad)],
                             g_coeffs=[0.2, -0.1])
 
 
@@ -423,7 +421,7 @@ def test_minimal_lattice_run_matches_reference_lattice(dim, grid, cutoff):
     ref = build_lattice(dim, grid)
     small = build_lattice(dim, galerkin_grid(cutoff))
     axes = np.eye(dim)
-    system = transport_system(ref, [0.4 * axes[0], 0.3 * axes[1]], g_coeffs=(0.2,))
+    system = transport_system([0.4 * axes[0], 0.3 * axes[1]], g_coeffs=(0.2,))
     cfg = make_cfg(cutoff=cutoff, t_end=0.02, k0=1.0)
     u0 = random_h1_field(ref, seed=14, k0=1.0)
     path = PathSpec(7, 0, system.n_wiener)
@@ -508,7 +506,7 @@ def test_monitor_tau_r_is_decay_study_rule():
     config = default_decay_config(**{
         "lattice": {"grid_n": 50}, "physics": {"t_end": 0.05, "dt": 0.005},
         "galerkin": {"cutoffs": [4, 6, 8], "n_ref": 16}, "ensemble": {"n_paths": 1}})
-    lattice, system, u0, _ = studies.prepare(config)
+    lattice, system, u0 = studies.prepare(config)
     path = config.path_spec(0, system.n_wiener)
 
     def run(n, lat):
@@ -535,7 +533,7 @@ def test_monitor_tau_r_is_decay_study_rule():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_blowup_aborts_with_partial_trajectory(lat32):
     # nearly inviscid, huge dt: the explicit convection term blows up
-    system = transport_system(lat32, [])
+    system = transport_system([])
     cfg = StepperConfig(nu=1e-9, dt=1.0, t_end=40.0, cutoff=10)
     u0 = random_h1_field(lat32, seed=30, k0=4.0)
     with pytest.raises(NonFiniteError) as err:
@@ -593,7 +591,7 @@ def test_overflowing_convection_raises(lat32, off_system):
 def _oracle_reference(config):
     """Per-path strong and modulus errors of the linear oracle, by one
     `integrate` call per path and dt level."""
-    _, system, u0, _ = studies.prepare(config)
+    _, system, u0 = studies.prepare(config)
     xi = np.asarray(system.xi.vectors[0])
     nu, t_end, dt0 = config["physics.nu"], config["physics.t_end"], config["physics.dt"]
     levels = config["oracle.refinements"] + 1
