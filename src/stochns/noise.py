@@ -8,12 +8,10 @@ Wiener indices, which realizes the orthogonality constraint between the two
 noises by construction: at every index one factor of the cross inner product
 vanishes identically.
 
-For these families the paper's noise hypotheses hold in closed form, and
-`validate_system` decides them from the configuration without sampling.
-The sampled validators (`validate_orthogonality`,
-`validate_growth_lipschitz`, `validate_commutativity`) estimate the same
-quantities on random fields; the `invariants` command and the tests use
-them to check the closed forms.
+For these families the paper's noise hypotheses hold in closed form:
+`validate_system` decides them from the configuration without sampling,
+and the sampled validators below estimate the same quantities on random
+fields, for the `invariants` command and the tests.
 
 Constant xi_k are not elements of the mean-free spaces; their summability
 bound uses |xi_k| by convention.
