@@ -157,6 +157,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> int:
             block = increments(traj.path, 0.0, traj.cfg.dt, traj.cfg.n_steps)
             rec.add(save_increments(out_dir / f"increments_path{i:03d}", block))
     rec.extra["paths"] = stops
+    rec.extra["dt_stability"] = result.dt_stability
     rec.extra["nonfinite_paths"] = result.nonfinite_paths
     rec.write()
     return EXIT_NONFINITE if result.nonfinite_paths else EXIT_OK

@@ -229,9 +229,14 @@ def parseval_weight(lattice: WaveLattice, r: float,
     return weight
 
 
+def parseval_norm_sq(coeffs: np.ndarray, weight: np.ndarray) -> float:
+    """sum_k weight[k] |u_hat[k]|^2 for a `parseval_weight` array."""
+    return float(np.sum(weight * _mod_sq(coeffs)))
+
+
 def sobolev_norm_sq(f: SpectralField, r: float) -> float:
     """Squared homogeneous H^r norm: sum_k |k|^(2r) |u_hat[k]|^2."""
-    return float(np.sum(parseval_weight(f.lattice, r) * _mod_sq(f.coeffs)))
+    return parseval_norm_sq(f.coeffs, parseval_weight(f.lattice, r))
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:

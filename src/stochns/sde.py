@@ -13,10 +13,14 @@ with drift = -P^N P((u.grad)u) - nu A u + 1/2 sum_k P^N P((xi_k.grad)(xi_k.grad)
 and diffusion_k = P^N P[g_k(u) - (xi_k.grad)u]. The transport coefficients
 are constant vectors, so the corrector and the whole noise sum
 c (sum_k g_k dW_k - i sum_k dW_k (xi_k . k)) + sum_k dW_k sigma_hat_k are
-diagonal multiplies plus the additive fields. Budgets (the Gevrey-H^1 sup
-and the nu-weighted Gevrey-H^2 time integral) are accumulated with
-left-endpoint quadrature and the stopping monitors are evaluated at step
-boundaries; integration continues past a trigger, only the record is kept.
+diagonal multiplies plus the additive fields: `_Stepper.advance` evaluates
+the bracket in place on one new array, the noise sum as one complex
+multiplier per path and mode. The five observables are reduced in one call,
+and a path's coefficients are scanned only when one of its sums is not
+finite. Budgets (the Gevrey-H^1 sup and the nu-weighted Gevrey-H^2 time
+integral) are accumulated with left-endpoint quadrature and the stopping
+monitors are evaluated at step boundaries; integration continues past a
+trigger, only the record is kept.
 
 `_advance` is the one step loop body: it advances a `PathStack` of paths
 from one start, with budgets and stop records per path, and `integrate` is
@@ -150,26 +154,23 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # stability rule (advective CFL C_adv = 1, noise quadratic-variation rate)
 
-def dt_stability_bound(cfg: StepperConfig, system: NoiseSystem, h1_norm: float) -> float:
-    """Documented step-size rule: dt <= min(0.5/(N ||u||_H1), 0.1/noise_rate)."""
-    adv = 0.5 / max(cfg.cutoff * max(h1_norm, 1e-30), 1e-30)
+def dt_stability(cfg: StepperConfig, system: NoiseSystem, h1_sq: float) -> dict:
+    """The documented step-size rule dt <= bound = min(0.5/(N ||u0||_H1),
+    0.1/noise_rate) at the squared initial H^1 norm h1_sq, as run_record.json
+    records it: cutoff N, dt, bound and dt / bound."""
+    adv = 0.5 / max(cfg.cutoff * max(math.sqrt(max(h1_sq, 0.0)), 1e-30), 1e-30)
     rate = float(sum((np.linalg.norm(v) * cfg.cutoff) ** 2 for v in system.xi.vectors))
     if system.g.variant == "linear":
         rate += sum(c * c for c in system.g.coefficients)
-    noise = 0.1 / rate if rate > 0 else float("inf")
-    return min(adv, noise)
-
-
-def warn_if_unstable(cfg: StepperConfig, system: NoiseSystem, h1_norm: float) -> None:
-    bound = dt_stability_bound(cfg, system, h1_norm)
-    if cfg.dt > bound:
-        warnings.warn(
-            f"dt={cfg.dt} exceeds the stability rule bound {bound:.3g} "
-            f"(N={cfg.cutoff}, ||u0||_H1={h1_norm:.3g})", RuntimeWarning, stacklevel=2)
+    bound = min(adv, 0.1 / rate if rate > 0 else float("inf"))
+    return {"N": cfg.cutoff, "dt": cfg.dt, "bound": bound, "ratio": cfg.dt / bound}
 
 
 # ---------------------------------------------------------------------------
 # the stepping engine
+
+_OBS_KEYS = ("l2_sq", "h1_sq", "h2_sq", "gevrey_h1_sq", "gevrey_h2_sq")
+
 
 class _Stepper:
     """Precomputed multipliers for one (config, system, lattice) triple.
@@ -192,8 +193,7 @@ class _Stepper:
         self.decay = np.exp(-cfg.nu * cfg.dt * self.ksq)
         # observables read the ball only, so the Gevrey weight is never
         # evaluated off it, where it could overflow
-        self.w_l2_ball, self.w_h1_ball, self.w_h2_ball = (
-            parseval_weight(lattice, r)[ball] for r in (0.0, 1.0, 2.0))
+        self.w_ball = [parseval_weight(lattice, r)[ball] for r in (0.0, 1.0, 2.0)]
         self.root_ball = np.power(lattice.abs_k[ball], 1.0 / cfg.gevrey.s)
         max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
         if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
@@ -219,13 +219,12 @@ class _Stepper:
         Convection is the one stage off the ball: `convect` takes each packed
         path through the grid and returns it packed.
         """
-        out = np.zeros_like(c)
+        out = c * self.corrector_mult
         if self.cfg.convection:
             for path in np.ndindex(c.shape[:-2]):
                 u = c[path]  # one object for both arguments: the symmetric path
                 if np.any(u):
                     out[path] -= nonlinear.convect(u, u, self.convect_plan)
-        out += c * self.corrector_mult
         return out
 
     def noise_sum(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -237,20 +236,22 @@ class _Stepper:
         alone.
         """
         sys_ = self.system
-        col = dw.shape[:-1] + (1,)
-        diag_im = np.zeros(col[:-1] + self.ksq.shape)
+        mult = np.zeros(dw.shape[:-1] + self.ksq.shape, dtype=np.complex128)
         for phase, k_index in zip(self.xi_phase, sys_.xi.index_set):
-            diag_im -= dw[..., k_index, None] * phase
-        lin = np.zeros(col)
+            mult.imag -= dw[..., k_index, None] * phase
+        lin = np.zeros(dw.shape[:-1] + (1,))
         if sys_.g.variant == "linear":
             for pos, k_index in enumerate(sys_.g.index_set):
                 lin += dw[..., k_index, None] * sys_.g.coefficients[pos]
-        # lin + 1j * d is lin + 0j for d = +0 and -0 alike, so a zero increment
+            mult.real += lin
+        # the multiplier is lin + i d with neither part -0, so a zero increment
         # changes no bit of the product; a path with no nonzero transport
         # increment and lin == 0 has no term and gets zeros, not c * 0
         live = np.any(dw[..., list(sys_.xi.index_set)] != 0.0, axis=-1, keepdims=True)
         has_term = (live | (lin != 0.0))[..., None]
-        out = np.where(has_term, c * (lin + 1j * diag_im)[..., None, :], 0.0)
+        out = c * mult[..., None, :]
+        if not has_term.all():
+            out = np.where(has_term, out, 0.0)
         if sys_.g.variant == "additive":
             # -0.0 + x is x bitwise: each path's sum starts at its first live field
             acc = np.full(c.shape, complex(-0.0, -0.0))
@@ -273,37 +274,42 @@ class _Stepper:
         the batch shape) and, per path, what turned non-finite: "coefficient",
         else the names of the non-finite observables, else "".
         """
-        pre = c + self.cfg.dt * self.explicit_drift(c)
+        c_new = self.explicit_drift(c)
+        c_new *= self.cfg.dt
+        c_new += c
         if self.system.n_wiener:
-            pre += self.noise_sum(c, dw)
-        c_new = self.decay * pre
-        coeff_ok = np.isfinite(c_new).all(axis=(-2, -1))
+            c_new += self.noise_sum(c, dw)
+        c_new *= self.decay
         obs = self.observables(c_new, phi)
-        finite = {name: np.isfinite(value) for name, value in obs.items()}
-        bad = np.full(coeff_ok.shape, "", dtype=object)
-        if not (coeff_ok.all() and all(f.all() for f in finite.values())):
+        # a non-finite coefficient makes its path's l2_sq non-finite (every
+        # weight is >= 1), so finite sums clear the coefficients too
+        finite = np.isfinite(np.array(tuple(obs.values())))
+        bad = np.full(finite.shape[1:], "", dtype=object)
+        if not finite.all():
+            coeff_ok = np.isfinite(c_new).all(axis=(-2, -1))
             for path in np.ndindex(bad.shape):
-                names = [name for name, f in finite.items() if not f[path]]
+                names = [name for name, f in zip(obs, finite[(slice(None),) + path]) if not f]
                 bad[path] = "coefficient" if not coeff_ok[path] else ", ".join(names)
         return c_new, obs, bad
 
     # -- scalar observables ---------------------------------------------------
 
     def observables(self, c: np.ndarray, phi: float) -> dict:
-        """Squared norms of packed states, summed over the ball per path."""
-        mod = np.sum(c.real**2 + c.imag**2, axis=-2)
-        h1 = self.w_h1_ball * mod
-        h2 = self.w_h2_ball * mod
-        obs = {"l2_sq": np.sum(self.w_l2_ball * mod, axis=-1),
-               "h1_sq": np.sum(h1, axis=-1),
-               "h2_sq": np.sum(h2, axis=-1)}
-        if phi == 0.0:
-            obs["gevrey_h1_sq"], obs["gevrey_h2_sq"] = obs["h1_sq"], obs["h2_sq"]
-        else:
-            gev = np.exp((2.0 * phi) * self.root_ball)
-            obs["gevrey_h1_sq"] = np.sum(h1 * gev, axis=-1)
-            obs["gevrey_h2_sq"] = np.sum(h2 * gev, axis=-1)
-        return obs
+        """Squared norms of packed states, summed over the ball per path.
+
+        The weighted terms of the five norms fill one (5, ..., n_ball) array
+        that one sum reduces; at phi = 0 the Gevrey factor is exactly 1.
+        """
+        sq = c.real**2
+        sq += c.imag**2
+        mod = sq[..., 0, :] + sq[..., 1, :]   # np.sum(axis=-2)'s order, without its cost
+        for row in range(2, c.shape[-2]):
+            mod += sq[..., row, :]
+        terms = np.empty((5,) + mod.shape)
+        for row, w in zip(terms, self.w_ball):
+            np.multiply(w, mod, out=row)
+        np.multiply(terms[1:3], np.exp((2.0 * phi) * self.root_ball), out=terms[3:])
+        return dict(zip(_OBS_KEYS, terms.sum(axis=-1)))
 
 
 class PathStack:
@@ -431,8 +437,7 @@ def step(state: SimState, cfg: StepperConfig, system: NoiseSystem,
     return stack.state(0)
 
 
-_SERIES_KEYS = ("t", "l2_sq", "h1_sq", "h2_sq", "gevrey_h1_sq", "gevrey_h2_sq",
-                "budget_sup", "budget_int", "h2_int")
+_SERIES_KEYS = ("t", *_OBS_KEYS, "budget_sup", "budget_int", "h2_int")
 
 
 def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
@@ -474,8 +479,10 @@ def integrate_paths(cfg: StepperConfig, system: NoiseSystem, paths: list[PathSpe
     stepper = _Stepper(cfg, system, u0.lattice if resume is None else resume.lattice)
     start = initial_state(u0, cfg) if resume is None else resume
     stack = PathStack(start, len(paths), stepper)
-    if check_stability:
-        warn_if_unstable(cfg, system, math.sqrt(max(start.initial_h1_sq, 0.0)))
+    bound = dt_stability(cfg, system, start.initial_h1_sq)["bound"]
+    if check_stability and cfg.dt > bound:
+        warnings.warn(f"dt={cfg.dt} exceeds the stability rule bound {bound:.3g} (N={cfg.cutoff}, "
+                      f"||u0||_H1={math.sqrt(max(start.initial_h1_sq, 0.0)):.3g})", RuntimeWarning)
 
     total_steps = cfg.n_steps
     remaining = total_steps - start.step
@@ -521,17 +528,23 @@ def _record(series: dict, row: int, stack: PathStack) -> None:
 # ---------------------------------------------------------------------------
 # exact linear oracle and the coupled-pair stopping monitor
 
-def linear_exact(u0: SpectralField, xi, nu: float, w_value: float,
-                 t: float) -> SpectralField:
-    """Closed form for the linear system (no convection, g = 0, one constant xi).
+def linear_exact_at(u0: SpectralField, xi, nu: float, t: float):
+    """Closed form for the linear system (no convection, g = 0, one constant xi)
+    at time t, as a map from a path's W_t to the coefficients
 
-    Mode-wise u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t); the modulus
-    decays like the heat semigroup on every path.
+        u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t),
+
+    whose modulus decays like the heat semigroup on every path. The
+    path-independent phase and heat exponent are evaluated once.
     """
     lat = u0.lattice
     (theta,), _ = nonlinear.transport_multipliers(lat, [xi])
-    factor = np.exp(-nu * lat.ksq.astype(np.float64) * t - 1j * theta * w_value)
-    return u0.with_coeffs(np.where(lat.active, u0.coeffs * factor, 0.0))
+    heat_exp, i_theta = -nu * lat.ksq.astype(np.float64) * t, 1j * theta
+    return lambda w: np.where(lat.active, u0.coeffs * np.exp(heat_exp - i_theta * w), 0.0)
+
+
+def linear_exact(u0: SpectralField, xi, nu: float, w_value: float, t: float) -> SpectralField:
+    return u0.with_coeffs(linear_exact_at(u0, xi, nu, t)(w_value))
 
 
 def tau_r_reached(h2_int_n: float, h2_int_ref: float, r_threshold: float) -> bool:

@@ -23,12 +23,13 @@ from . import diagnostics, nonlinear
 from .brownian import increments, increments_paths, refine_paths
 from .config import ConfigError, ExperimentConfig
 from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
-                     leray_project, random_field, sobolev_norm_sq, transfer,
-                     unpack_ball, weighted_inner, validate_physical)
+                     leray_project, parseval_norm_sq, parseval_weight, random_field,
+                     sobolev_norm_sq, transfer, unpack_ball, weighted_inner,
+                     validate_physical)
 from .noise import (validate_commutativity, validate_growth_lipschitz,
                     validate_orthogonality, validate_system)
-from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability_bound,
-                  initial_state, integrate_paths, linear_exact, step, tau_r_reached)
+from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability,
+                  initial_state, integrate_paths, linear_exact_at, step, tau_r_reached)
 
 
 # bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
@@ -95,6 +96,7 @@ class PathResult:
 @dataclass
 class SimulateResult:
     paths: list[PathResult]
+    dt_stability: list[dict]   # n_ref: dt against the step-size rule at ||u0^N||_H1
 
     @property
     def nonfinite_paths(self) -> list[int]:
@@ -129,7 +131,9 @@ def simulate(config: ExperimentConfig) -> SimulateResult:
 
     paths = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
                         _path_bytes(lattice, [cfg.cutoff], cfg.n_steps, system.n_wiener))
-    return SimulateResult(paths=paths)
+    start = paths[0].trajectory.states[0]
+    return SimulateResult(paths=paths,
+                          dt_stability=[dt_stability(cfg, system, start.initial_h1_sq)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +185,6 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     starts = {n: initial_state(transfer(u0, lattices[n]), steppers[n].cfg) for n in runs}
     n_steps = steppers[n_ref].cfg.n_steps
     dt = steppers[n_ref].cfg.dt
-    dt_stability = []
-    for n in runs:
-        bound = dt_stability_bound(steppers[n].cfg, system,
-                                   math.sqrt(max(starts[n].initial_h1_sq, 0.0)))
-        dt_stability.append({"N": n, "dt": dt, "bound": bound, "ratio": dt / bound})
 
     def error_sq(u_ref, u_n) -> float:
         return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
@@ -247,7 +246,8 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
             fit = None
     return DecayResult(cutoffs=cutoffs, n_ref=n_ref, outcomes=outcomes,
                        mean_errors=mean_errors, std_errors=std_errors, fit=fit,
-                       dt_stability=dt_stability)
+                       dt_stability=[dt_stability(steppers[n].cfg, system,
+                                                  starts[n].initial_h1_sq) for n in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,9 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     steppers = [_Stepper(dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
                                              dt=dt), system, lattice) for dt in dts]
     start = initial_state(u0, steppers[0].cfg)
-    u_start = start.u
-    heat = np.abs(linear_exact(u_start, xi_vec, nu, 0.0, t_end).coeffs)
+    exact_at = linear_exact_at(start.u, xi_vec, nu, t_end)
+    heat = np.abs(exact_at(0.0))
+    weight = parseval_weight(lattice, 0.0)
     chunk = max(1, _ORACLE_CHUNK_BYTES // (16 * start.c.size))
 
     strong = np.zeros((n_paths, levels))
@@ -324,11 +325,11 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
                                                    f"(step {i + 1}, dt={stepper.cfg.dt:g})")
                     c[p] = 0.0   # the path is excluded; keep its row finite
             for p, path_index in enumerate(paths):
-                final = u_start.with_coeffs(unpack_ball(c[p], lattice, start.cutoff))
+                final = unpack_ball(c[p], lattice, start.cutoff)
                 w_end = float(blocks[p].increments[:, 0].sum())
-                exact = linear_exact(u_start, xi_vec, nu, w_end, t_end)
-                strong[path_index, lvl] = math.sqrt(sobolev_norm_sq(final - exact, 0.0))
-                modulus[path_index, lvl] = float(np.abs(np.abs(final.coeffs) - heat).max())
+                strong[path_index, lvl] = math.sqrt(
+                    parseval_norm_sq(final - exact_at(w_end), weight))
+                modulus[path_index, lvl] = float(np.abs(np.abs(final) - heat).max())
 
     usable = [i for i in range(n_paths) if i not in nonfinite]
     if not usable:

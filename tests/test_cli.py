@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import subprocess
 import sys
@@ -14,7 +13,7 @@ from stochns.cli import main
 from stochns.config import ExperimentConfig, default_oracle_config
 from stochns.fields import galerkin_project, sobolev_norm_sq
 from stochns.lattice import build_lattice
-from stochns.sde import dt_stability_bound
+from stochns.sde import dt_stability
 from stochns.snapshots import sha256_file
 
 TINY = {
@@ -66,6 +65,16 @@ def test_simulate_smoke_writes_manifest(tmp_path):
         assert sha256_file(out / entry["path"]) == entry["sha256"]
     assert (out / "spectra_path000.csv").exists()
     assert (out / "state_path001.npy").exists()
+    # the step-size rule at n_ref, in decay-study's fields
+    config = ExperimentConfig.from_file(cfg)
+    _, system, u0 = studies.prepare(config)
+    n_ref, dt = config["galerkin.n_ref"], config["physics.dt"]
+    rule = dt_stability(config.stepper_config(n_ref), system,
+                        sobolev_norm_sq(galerkin_project(u0, n_ref), 1.0))
+    (margin,) = record["dt_stability"]
+    assert margin["N"] == n_ref and margin["dt"] == dt
+    assert margin["bound"] == pytest.approx(rule["bound"], rel=1e-12)
+    assert margin["ratio"] == dt / margin["bound"]
 
 
 def test_simulate_snapshot_holds_the_galerkin_ball(tmp_path):
@@ -347,8 +356,8 @@ def test_decay_study_records_dt_stability(tmp_path):
     config = ExperimentConfig.from_file(cfg)
     _, system, u0 = studies.prepare(config)
     for m in margins:
-        h1 = math.sqrt(sobolev_norm_sq(galerkin_project(u0, m["N"]), 1.0))
-        bound = dt_stability_bound(config.stepper_config(m["N"]), system, h1)
+        h1_sq = sobolev_norm_sq(galerkin_project(u0, m["N"]), 1.0)
+        bound = dt_stability(config.stepper_config(m["N"]), system, h1_sq)["bound"]
         assert m["dt"] == 0.025
         assert m["bound"] == pytest.approx(bound, rel=1e-12)
         assert m["ratio"] == m["dt"] / m["bound"]

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
 from stochns.sde import (NonFiniteError, PathStack, StepperConfig, _Stepper, _advance,
                          diffusion, drift,
-                         dt_stability_bound, initial_state, integrate,
+                         dt_stability, initial_state, integrate,
                          linear_exact, monitor_tau_R, step)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
 
@@ -162,7 +165,7 @@ def _batch_system(lat, g_kind):
         return _additive_xi_system(lat)
     pad = [0.0] * (lat.dim - 2)
     return transport_system([np.array([0.8, 0.0] + pad), np.array([-0.3, -0.5] + pad)],
-                            g_coeffs=[0.2, -0.1])
+                            g_coeffs=[0.2, -0.1] if g_kind == "linear" else [])
 
 
 @pytest.mark.parametrize("g_kind", ["linear", "additive"])
@@ -190,6 +193,53 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
         for name, value in obs.items():
             assert value[p].tobytes() == obs_p[name].tobytes(), name
         assert bad[p] == bad_p[()] == ""
+
+
+def _observables_reference(stepper, c, phi):
+    """The five squared norms as separate per-weight sums over the ball."""
+    mod = np.sum(c.real**2 + c.imag**2, axis=-2)
+    w_l2, w_h1, w_h2 = stepper.w_ball
+    gev = np.exp((2.0 * phi) * stepper.root_ball)
+    return {"l2_sq": np.sum(w_l2 * mod, axis=-1), "h1_sq": np.sum(w_h1 * mod, axis=-1),
+            "h2_sq": np.sum(w_h2 * mod, axis=-1),
+            "gevrey_h1_sq": np.sum(w_h1 * mod * gev, axis=-1),
+            "gevrey_h2_sq": np.sum(w_h2 * mod * gev, axis=-1)}
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+@pytest.mark.parametrize("convection", [False, True])
+@pytest.mark.parametrize("g_kind", ["zero", "linear", "additive"])
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_advance_is_the_scheme_in_place(dim, grid, cutoff, g_kind, convection, n_paths):
+    lat = build_lattice(dim, grid)
+    system = _batch_system(lat, g_kind)
+    stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection), system, lat)
+    c = np.stack([pack_ball(smooth_field(lat, seed=s).coeffs, lat, cutoff)
+                  for s in range(n_paths)])
+    dw = 0.03 * np.random.default_rng(9).standard_normal((n_paths, system.n_wiener))
+    dw[n_paths // 2] = 0.0   # one row without any increment
+    for phi in (0.0, 0.2):
+        c_new, obs, bad = stepper.advance(c, dw, phi)
+        pre = c + stepper.cfg.dt * stepper.explicit_drift(c) + stepper.noise_sum(c, dw)
+        assert c_new.tobytes() == (stepper.decay * pre).tobytes()
+        reference = _observables_reference(stepper, c_new, phi)
+        assert list(obs) == list(reference)
+        for name, value in obs.items():
+            assert np.ascontiguousarray(value).tobytes() == reference[name].tobytes(), name
+        assert list(bad) == [""] * n_paths
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_advance_nan_increment_is_a_coefficient_failure(lat32):
+    system = _batch_system(lat32, "linear")
+    stepper = _Stepper(make_cfg(cutoff=4), system, lat32)
+    c = np.stack([pack_ball(smooth_field(lat32, seed=s).coeffs, lat32, 4) for s in range(3)])
+    dw = 0.03 * np.random.default_rng(10).standard_normal((3, system.n_wiener))
+    dw[1, 2] = np.nan
+    c_new, _, bad = stepper.advance(c, dw, 0.2)
+    assert list(bad) == ["", "coefficient", ""]
+    for p in (0, 2):
+        assert c_new[p].tobytes() == stepper.advance(c[p], dw[p], 0.2)[0].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -434,9 +484,21 @@ def test_minimal_lattice_run_matches_reference_lattice(dim, grid, cutoff):
         np.testing.assert_allclose(on_small.series[key], on_ref.series[key], rtol=1e-12)
 
 
+def test_readme_library_sketch_keeps_the_step_size_rule(capsys):
+    # the sketch runs as written with every warning an error, the stability
+    # rule's included, and finds the positive radius it promises
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(sketch, {})
+    decay_rate, _ = map(float, capsys.readouterr().out.split())
+    assert decay_rate > 0.0
+
+
 def test_stability_rule_warns(lat32, xi_system):
     cfg = make_cfg(dt=0.5, t_end=1.0, cutoff=8)
-    bound = dt_stability_bound(cfg, xi_system, 1.0)
+    bound = dt_stability(cfg, xi_system, 1.0)["bound"]
     assert bound < 0.5
     with pytest.warns(RuntimeWarning, match="stability"):
         integrate(cfg, xi_system, PathSpec(5, 0, 1),
