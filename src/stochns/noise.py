@@ -70,17 +70,6 @@ class MultiplicativeNoise:
         return cls(variant=ADDITIVE, sigmas=tuple(sigmas),
                    index_set=tuple(int(i) for i in index_set))
 
-    def growth_constant(self, w: GevreyWeight) -> float:
-        """Recorded summability constant: sum |c_k| or sum of Gevrey norms."""
-        if self.variant == ZERO:
-            return 0.0
-        if self.variant == LINEAR:
-            return float(sum(abs(c) for c in self.coefficients))
-        total = 0.0
-        for sig in self.sigmas:
-            total += sobolev_norm(gevrey_apply(sig, dataclasses.replace(w, r=0.0)), w.r)
-        return total
-
 
 @dataclass(frozen=True)
 class TransportNoise:

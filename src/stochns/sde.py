@@ -15,16 +15,16 @@ are constant vectors, so the corrector and the whole noise sum
 c (sum_k g_k dW_k - i sum_k dW_k (xi_k . k)) + sum_k dW_k sigma_hat_k are
 diagonal multiplies plus the additive fields: `_Stepper.advance` evaluates
 the bracket in place on one new array, the noise sum as one complex
-multiplier per path and mode. The five observables are reduced in one call,
-and a path's coefficients are scanned only when one of its sums is not
-finite. Budgets (the Gevrey-H^1 sup and the nu-weighted Gevrey-H^2 time
-integral) are accumulated with left-endpoint quadrature and the stopping
-monitors are evaluated at step boundaries; integration continues past a
-trigger, only the record is kept.
+multiplier per path and mode, and returns only the new coefficients.
 
-`_advance` is the one step loop body: it advances a `PathStack` of paths
-from one start, with budgets and stop records per path, and `integrate` is
-the one-path case of `integrate_paths`.
+`_advance` is the one step loop body of every command: it advances a
+`PathStack` of paths from one start, reduces the five observables in one
+call, scans a path's coefficients only when one of its sums is not finite,
+writes the failure message, and keeps budgets and stop records per path.
+Budgets (the Gevrey-H^1 sup and the nu-weighted Gevrey-H^2 time integral)
+are accumulated with left-endpoint quadrature and the stopping monitors are
+evaluated at step boundaries; integration continues past a trigger, only
+the record is kept. `integrate` is the one-path case of `integrate_paths`.
 """
 
 from __future__ import annotations
@@ -265,32 +265,16 @@ class _Stepper:
 
     # -- one step -------------------------------------------------------------
 
-    def advance(self, c: np.ndarray, dw: np.ndarray,
-                phi: float) -> tuple[np.ndarray, dict, np.ndarray]:
-        """One exponential Euler-Maruyama step of every path in the stack c.
-
-        dw holds one increment row per path, phi is the Gevrey width at the
-        new time. Returns the new coefficients, their observables (arrays of
-        the batch shape) and, per path, what turned non-finite: "coefficient",
-        else the names of the non-finite observables, else "".
-        """
+    def advance(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """One exponential Euler-Maruyama step of every path in the stack c,
+        with one increment row per path in dw: the new coefficients."""
         c_new = self.explicit_drift(c)
         c_new *= self.cfg.dt
         c_new += c
         if self.system.n_wiener:
             c_new += self.noise_sum(c, dw)
         c_new *= self.decay
-        obs = self.observables(c_new, phi)
-        # a non-finite coefficient makes its path's l2_sq non-finite (every
-        # weight is >= 1), so finite sums clear the coefficients too
-        finite = np.isfinite(np.array(tuple(obs.values())))
-        bad = np.full(finite.shape[1:], "", dtype=object)
-        if not finite.all():
-            coeff_ok = np.isfinite(c_new).all(axis=(-2, -1))
-            for path in np.ndindex(bad.shape):
-                names = [name for name, f in zip(obs, finite[(slice(None),) + path]) if not f]
-                bad[path] = "coefficient" if not coeff_ok[path] else ", ".join(names)
-        return c_new, obs, bad
+        return c_new
 
     # -- scalar observables ---------------------------------------------------
 
@@ -356,33 +340,41 @@ class PathStack:
 
 def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
     """One step of every path in the stack, with one increment row per path
-    in dw; budgets and monitors are updated. Returns the paths that turned
-    non-finite in this step."""
+    in dw; observables, budgets and monitors are updated. Returns the paths
+    that turned non-finite in this step."""
     cfg = stepper.cfg
-    obs_now = stack.obs
-    budget_int = stack.budget_int + cfg.dt * cfg.nu * obs_now["gevrey_h2_sq"]
-    h2_int = stack.h2_int + cfg.dt * obs_now["h2_sq"]
-
-    t_new = stack.t + cfg.dt
-    step_new = stack.step + 1
-    c_new, obs_new, bad = stepper.advance(stack.c, dw, cfg.phi_at(t_new))
-    stack.t, stack.step, stack.c, stack.obs = t_new, step_new, c_new, obs_new
-    failed = [p for p in np.flatnonzero(bad != "") if stack.live[p]]
-    for p in failed:
-        stack.fail(p, f"non-finite {bad[p]} at t={t_new:.6g} (step {step_new})")
+    budget_int = stack.budget_int + cfg.dt * cfg.nu * stack.obs["gevrey_h2_sq"]
+    h2_int = stack.h2_int + cfg.dt * stack.obs["h2_sq"]
+    stack.t += cfg.dt
+    stack.step += 1
+    stack.c = c = stepper.advance(stack.c, dw)
+    stack.obs = obs = stepper.observables(c, cfg.phi_at(stack.t))
+    failed = []
+    finite = np.isfinite(np.array(tuple(obs.values())))
+    if not finite.all():
+        # a non-finite coefficient makes its path's l2_sq non-finite (every
+        # weight is >= 1), so finite sums clear the coefficients too
+        coeff_ok = np.isfinite(c).all(axis=(-2, -1))
+        for p in np.flatnonzero(~finite.all(axis=0) & stack.live):
+            what = ("coefficient" if not coeff_ok[p] else
+                    ", ".join(name for name, ok in zip(obs, finite[:, p]) if not ok))
+            stack.fail(p, f"non-finite {what} at t={stack.t:.6g} "
+                          f"(step {stack.step}, dt={cfg.dt:g})")
+            failed.append(int(p))
     if not stack.live.all():
-        c_new[~stack.live] = 0.0
-        for value in obs_new.values():
+        c[~stack.live] = 0.0
+        for value in obs.values():
             value[~stack.live] = 0.0
-    budget_sup = np.maximum(stack.budget_sup, obs_new["gevrey_h1_sq"])
+    budget_sup = np.maximum(stack.budget_sup, obs["gevrey_h1_sq"])
 
     value = budget_sup + budget_int
     hits = (("budget", value, value > stack.initial_h1_sq + cfg.budget_m),
             ("h2", h2_int, h2_int >= cfg.h2_r))
     for monitor, values, hit in hits:
-        for p in np.flatnonzero(hit & stack.open[monitor] & stack.live):
-            stack.stops[p] = stack.stops[p] + (StopRecord(monitor, t_new, step_new, values[p]),)
-            stack.open[monitor][p] = False
+        if hit.any():
+            for p in np.flatnonzero(hit & stack.open[monitor] & stack.live):
+                stack.stops[p] += (StopRecord(monitor, stack.t, stack.step, values[p]),)
+                stack.open[monitor][p] = False
     stack.budget_sup, stack.budget_int, stack.h2_int = budget_sup, budget_int, h2_int
     return failed
 

@@ -2,12 +2,12 @@
 
 Each engine is a pure function of a validated ExperimentConfig returning
 plain result objects; the CLI layer only serializes them. Ensembles are
-split into `ensemble.workers` contiguous chunks of paths; each chunk is one
-thread-pool task that advances its paths as one packed stack (`sde.PathStack`),
-and the results are reassembled in path order. A stack gives each path the
+split into contiguous chunks of paths by `_run_chunks`, a multiple of
+`ensemble.workers` of them; each chunk is one thread-pool task that advances
+its paths as one packed stack (`sde.PathStack`) through `sde._advance`, and
+the results are reassembled in path order. A stack gives each path the
 arithmetic it gets alone and the Wiener driver is counter-based, so results
-do not depend on the worker count or the chunking. The linear oracle sizes
-its own chunks and ignores `ensemble.workers`.
+do not depend on the worker count or the chunking.
 """
 
 from __future__ import annotations
@@ -37,15 +37,16 @@ from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability,
 _CHUNK_BYTES = 4 << 20
 
 
-def _run_chunks(run_chunk, n_paths: int, workers: int, path_bytes: int) -> list:
+def _run_chunks(run_chunk, n_paths: int, workers: int, path_bytes: int,
+                chunk_bytes: int) -> list:
     """Run run_chunk(range of path indices) over contiguous chunks of the
     paths, one pool task each; the per-path results come back in path order.
 
     There are `workers` chunks, or the smallest multiple of `workers` that
-    keeps each within `_CHUNK_BYTES`, but never more than one per path; their
+    keeps each within `chunk_bytes`, but never more than one per path; their
     sizes differ by at most one.
     """
-    rounds = -(-n_paths * path_bytes // (workers * _CHUNK_BYTES))
+    rounds = -(-n_paths * path_bytes // (workers * chunk_bytes))
     n_chunks = min(n_paths, workers * rounds)
     bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
     chunks = [range(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -130,7 +131,8 @@ def simulate(config: ExperimentConfig) -> SimulateResult:
         return results
 
     paths = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
-                        _path_bytes(lattice, [cfg.cutoff], cfg.n_steps, system.n_wiener))
+                        _path_bytes(lattice, [cfg.cutoff], cfg.n_steps, system.n_wiener),
+                        _CHUNK_BYTES)
     start = paths[0].trajectory.states[0]
     return SimulateResult(paths=paths,
                           dt_stability=[dt_stability(cfg, system, start.initial_h1_sq)])
@@ -230,7 +232,8 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
         return outcomes
 
     outcomes = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
-                           _path_bytes(lattice, runs, n_steps, system.n_wiener))
+                           _path_bytes(lattice, runs, n_steps, system.n_wiener),
+                           _CHUNK_BYTES)
     usable = [o for o in outcomes if not o.nonfinite]
     mean_errors, std_errors = [], []
     for n in cutoffs if usable else ():   # no finite path: no means, no fit
@@ -253,7 +256,9 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
 # ---------------------------------------------------------------------------
 # linear oracle
 
-# bytes of one stacked (paths, dim, n_ball) complex array of the oracle
+# the oracle's chunk budget, bytes of one stacked (paths, dim, n_ball) state;
+# larger chunks cost memory (on the oracle2d workload, 256 KiB raised peak
+# RSS by 0.3-0.4 MiB and 4 MiB by 5.1-5.2 MiB)
 _ORACLE_CHUNK_BYTES = 128 << 10
 
 
@@ -276,11 +281,13 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     increments. The endpoint Wiener value is level-independent because
     refinement preserves block sums.
 
-    Paths run in chunks sized by `_ORACLE_CHUNK_BYTES`: a chunk draws and
-    refines its paths' increments and advances them as one packed stack per
-    dt level. Each path's arithmetic does not depend on the chunk, so the
-    results do not either; `ensemble.workers` is not used. A path that
-    turns non-finite at any level is recorded and left out of the means.
+    Paths run through `_run_chunks` within `_ORACLE_CHUNK_BYTES` of stacked
+    state per chunk: a chunk draws and refines its paths' increments and
+    steps them as one `PathStack` per dt level through `_advance`. Each
+    path's arithmetic does not depend on the chunk, so the results depend on
+    neither the chunking nor `ensemble.workers`. A path that turns
+    non-finite at any level is recorded with its first message and left out
+    of the means.
     """
     if config["physics.convection"]:
         raise ConfigError("linear oracle requires physics.convection = false")
@@ -302,41 +309,35 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     exact_at = linear_exact_at(start.u, xi_vec, nu, t_end)
     heat = np.abs(exact_at(0.0))
     weight = parseval_weight(lattice, 0.0)
-    chunk = max(1, _ORACLE_CHUNK_BYTES // (16 * start.c.size))
 
-    strong = np.zeros((n_paths, levels))
-    modulus = np.zeros((n_paths, levels))
-    nonfinite: dict = {}
-    for first in range(0, n_paths, chunk):
-        paths = range(first, min(first + chunk, n_paths))
-        blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in paths],
+    def run_chunk(indices: range) -> list[tuple]:
+        blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in indices],
                                   0.0, dt0, steppers[0].cfg.n_steps)
+        strong, modulus = np.zeros((2, len(indices), levels))
+        failed = [None] * len(indices)
         for lvl, stepper in enumerate(steppers):
             if lvl:
                 blocks = refine_paths(blocks, 2)
-            dw = np.stack([block.increments for block in blocks])
-            c = np.repeat(start.c[None], len(paths), axis=0)
-            t = 0.0
-            for i in range(dw.shape[1]):
-                t += stepper.cfg.dt
-                c, _, bad = stepper.advance(c, dw[:, i], stepper.cfg.phi_at(t))
-                for p in np.flatnonzero(bad != ""):
-                    nonfinite.setdefault(paths[p], f"non-finite {bad[p]} at t={t:.6g} "
-                                                   f"(step {i + 1}, dt={stepper.cfg.dt:g})")
-                    c[p] = 0.0   # the path is excluded; keep its row finite
-            for p, path_index in enumerate(paths):
-                final = unpack_ball(c[p], lattice, start.cutoff)
-                w_end = float(blocks[p].increments[:, 0].sum())
-                strong[path_index, lvl] = math.sqrt(
-                    parseval_norm_sq(final - exact_at(w_end), weight))
-                modulus[path_index, lvl] = float(np.abs(np.abs(final) - heat).max())
+            stack = PathStack(start, len(indices), stepper)
+            for dw in np.stack([block.increments for block in blocks], axis=1):
+                _advance(stack, stepper, dw)
+            for p, block in enumerate(blocks):
+                failed[p] = failed[p] or stack.failed[p]
+                final = unpack_ball(stack.c[p], lattice, start.cutoff)
+                w_end = float(block.increments[:, 0].sum())
+                strong[p, lvl] = math.sqrt(parseval_norm_sq(final - exact_at(w_end), weight))
+                modulus[p, lvl] = float(np.abs(np.abs(final) - heat).max())
+        return list(zip(strong, modulus, failed))
 
+    rows = _run_chunks(run_chunk, n_paths, config["ensemble.workers"], 16 * start.c.size,
+                       _ORACLE_CHUNK_BYTES)
+    nonfinite = {i: failed for i, (_, _, failed) in enumerate(rows) if failed}
     usable = [i for i in range(n_paths) if i not in nonfinite]
     if not usable:
         return OracleResult(dts=dts, strong_errors=[], modulus_errors=[], strong_slope=None,
                             modulus_slope=None, machine_precision=False, nonfinite=nonfinite)
-    strong = np.mean(strong[usable], axis=0)
-    modulus = np.mean(modulus[usable], axis=0)
+    strong = np.mean([rows[i][0] for i in usable], axis=0)
+    modulus = np.mean([rows[i][1] for i in usable], axis=0)
     eps_scale = 1e-12 * math.sqrt(sobolev_norm_sq(u0, 0.0))
     machine = bool(np.all(strong < eps_scale))
     if machine:
@@ -389,7 +390,8 @@ def budget_exceedance(config: ExperimentConfig, cutoffs, horizons) -> Exceedance
             return integrate_paths(cfg, system, paths, u0_n, store_every=10**9,
                                    check_stability=False)
         trajs = _run_chunks(run_chunk, n_paths, config["ensemble.workers"],
-                            _path_bytes(lattice, [cutoff], cfg.n_steps, system.n_wiener))
+                            _path_bytes(lattice, [cutoff], cfg.n_steps, system.n_wiener),
+                            _CHUNK_BYTES)
         nonfinite[cutoff] = [i for i, traj in enumerate(trajs) if traj.nonfinite]
         stop_times = [_budget_stop_time(traj) for traj in trajs]
         initial_budgets.append(trajs[0].states[0].budget_sup)

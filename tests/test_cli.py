@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochns import fields, noise, studies
+from stochns import fields, noise, sde, studies
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.config import ExperimentConfig, default_oracle_config
@@ -134,7 +134,7 @@ def test_identical_across_stack_sizes(tmp_path, command):
         return
     assert "state_path001.npy" not in files and "state_path002.npy" in files
     assert paths["1"]["nonfinite"] == ("non-finite l2_sq, h1_sq, h2_sq, gevrey_h1_sq, "
-                                       "gevrey_h2_sq at t=5 (step 20)")
+                                       "gevrey_h2_sq at t=5 (step 20, dt=0.25)")
     # the partial budgets of path 1: its start and 19 finite steps
     assert len(files["budgets_path001.csv"].decode().splitlines()) == 1 + 20
     assert len(files["budgets_path002.csv"].decode().splitlines()) == 1 + 33
@@ -296,19 +296,57 @@ def _oracle_config_file(tmp_path, name, **overrides):
 
 
 def test_linear_oracle_identical_across_chunkings(tmp_path, monkeypatch):
-    # 5 paths, 2 dt levels: chunks of one path, of two (uneven), and the default
-    cfg = _oracle_config_file(tmp_path, "oracle", physics={"t_end": 0.1},
-                              ensemble={"n_paths": 5, "workers": 3},
-                              oracle={"refinements": 1})
+    # 5 paths, 2 dt levels: chunks of one path, of two (uneven), and the
+    # default, on 1 and on 3 workers
     path_bytes = 16 * 2 * int(build_lattice(2, 32).ball_mask(8).sum())
+    default = studies._ORACLE_CHUNK_BYTES
     outputs = []
-    for budget in (1, 2 * path_bytes, studies._ORACLE_CHUNK_BYTES):
-        monkeypatch.setattr(studies, "_ORACLE_CHUNK_BYTES", budget)
-        out = tmp_path / f"chunk{budget}"
-        assert main(["linear-oracle", "--config", str(cfg), "--out", str(out)]) == 0
-        assert json.loads((out / "run_record.json").read_text())["nonfinite_paths"] == []
-        outputs.append((out / "oracle.csv").read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    for workers in (1, 3):
+        cfg = _oracle_config_file(tmp_path, f"oracle{workers}", physics={"t_end": 0.1},
+                                  ensemble={"n_paths": 5, "workers": workers},
+                                  oracle={"refinements": 1})
+        for budget in (1, 2 * path_bytes, default):
+            monkeypatch.setattr(studies, "_ORACLE_CHUNK_BYTES", budget)
+            out = tmp_path / f"w{workers}chunk{budget}"
+            assert main(["linear-oracle", "--config", str(cfg), "--out", str(out)]) == 0
+            assert json.loads((out / "run_record.json").read_text())["nonfinite_paths"] == []
+            outputs.append((out / "oracle.csv").read_bytes())
+    assert len(outputs) == 6 and len(set(outputs)) == 1
+
+
+def test_every_command_steps_through_advance(monkeypatch):
+    # one step loop: every command's stacks step through sde._advance, also
+    # where studies calls it under its imported name
+    advance = sde._advance
+    calls = []
+
+    def counted(stack, stepper, dw):
+        calls.append(1)
+        return advance(stack, stepper, dw)
+
+    monkeypatch.setattr(sde, "_advance", counted)
+    for name in [name for name, value in vars(studies).items() if value is advance]:
+        monkeypatch.setattr(studies, name, counted)
+
+    data = json.loads(json.dumps(TINY))
+    data["physics"]["t_end"] = 0.01
+    data["galerkin"]["cutoffs"] = [2, 3, 4]
+    config = ExperimentConfig(data)
+    oracle = default_oracle_config(physics={"t_end": 0.1}, oracle={"refinements": 2},
+                                   ensemble={"n_paths": 3, "workers": 2})
+    n_oracle = round(0.1 / oracle["physics.dt"])
+    # 10 steps per stack; one chunk per run but the oracle's two (one per
+    # worker), each stepping its dt levels of n, 2n and 4n steps
+    runs = {"simulate": (lambda: studies.simulate(config), 10),
+            "decay_study": (lambda: studies.decay_study(config), 4 * 10),
+            "budget_exceedance": (lambda: studies.budget_exceedance(config, [2, 3],
+                                                                    [0.01, 0.005]), 2 * 10),
+            "linear_oracle_study": (lambda: studies.linear_oracle_study(oracle),
+                                    2 * (1 + 2 + 4) * n_oracle)}
+    for name, (run, expected) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == expected, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field, transport_system
-from stochns.fields import GevreyWeight, sobolev_norm, gevrey_apply
+from stochns.fields import GevreyWeight, sobolev_norm
 from stochns.lattice import build_lattice
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            eval_g, solenoidal_mode_field,
@@ -154,15 +154,6 @@ def test_validate_system_gates_and_marks(lat16, kind):
     else:
         with pytest.raises(ValueError, match=GATE_REFUSALS[kind]):
             validate_system(system)
-
-
-def test_additive_sigma_gevrey_bounded(lat16):
-    sigma = solenoidal_mode_field(lat16, (1, 0), 0.5)
-    g = MultiplicativeNoise.additive([sigma], [0])
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.5)
-    const = g.growth_constant(w)
-    direct = sobolev_norm(gevrey_apply(sigma, GevreyWeight(s=1.0, r=0.0, phi=0.5)), 1.0)
-    assert np.isfinite(const) and abs(const - direct) <= 1e-12 * direct
 
 
 def test_index_set_bounds_checked():

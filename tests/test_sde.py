@@ -17,8 +17,8 @@ from stochns.fields import (pack_ball, random_h1_field,
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
-from stochns.sde import (NonFiniteError, PathStack, StepperConfig, _Stepper, _advance,
-                         diffusion, drift,
+from stochns.sde import (NonFiniteError, PathStack, SimState, StepperConfig, _Stepper,
+                         _advance, diffusion, drift,
                          dt_stability, initial_state, integrate,
                          linear_exact, monitor_tau_R, step)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
@@ -168,6 +168,17 @@ def _batch_system(lat, g_kind):
                             g_coeffs=[0.2, -0.1] if g_kind == "linear" else [])
 
 
+def _stack(stepper, lat, c, t=0.0):
+    """A PathStack at time t whose paths start from the rows of c."""
+    start = SimState(t=t, step=0, c=c[0].copy(), lattice=lat,
+                     cutoff=stepper.cfg.cutoff, budget_sup=0.0, budget_int=0.0, h2_int=0.0,
+                     initial_h1_sq=0.0)
+    stack = PathStack(start, len(c), stepper)
+    stack.c = c.copy()
+    stack.obs = stepper.observables(stack.c, stepper.cfg.phi_at(t))
+    return stack
+
+
 @pytest.mark.parametrize("g_kind", ["linear", "additive"])
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
 def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
@@ -182,17 +193,23 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
     dw[:, 2] = np.abs(dw[:, 2])
     dw[1, [0, 3]] = 0.0   # a zero increment of g and of a transport term
     dw[2] = 0.0           # no noise term at all
-    c_new, obs, bad = stepper.advance(c, dw, 0.2)
+    c_new = stepper.advance(c, dw)
     assert c_new.shape == c.shape == (4, dim, int(lat.ball_mask(cutoff).sum()))
+    batch = _stack(stepper, lat, c, t=0.2)
+    assert _advance(batch, stepper, dw) == []
+    assert batch.c.tobytes() == c_new.tobytes()
     for p in range(4):
         noise = stepper.noise_sum(c[p], dw[p])
         assert noise.tobytes() == stepper.noise_sum(c, dw)[p].tobytes()
         assert noise.tobytes() == _noise_sum_reference(stepper, c[p], dw[p]).tobytes()
-        c_p, obs_p, bad_p = stepper.advance(c[p], dw[p], 0.2)
-        assert c_new[p].tobytes() == c_p.tobytes()
-        for name, value in obs.items():
-            assert value[p].tobytes() == obs_p[name].tobytes(), name
-        assert bad[p] == bad_p[()] == ""
+        assert c_new[p].tobytes() == stepper.advance(c[p], dw[p]).tobytes()
+        alone = _stack(stepper, lat, c[p:p + 1], t=0.2)
+        assert _advance(alone, stepper, dw[p:p + 1]) == []
+        assert alone.c[0].tobytes() == c_new[p].tobytes()
+        for name, value in batch.obs.items():
+            assert value[p].tobytes() == alone.obs[name][0].tobytes(), name
+        assert batch.stops[p] == alone.stops[0]
+        assert batch.failed[p] is alone.failed[0] is None
 
 
 def _observables_reference(stepper, c, phi):
@@ -213,20 +230,25 @@ def _observables_reference(stepper, c, phi):
 def test_advance_is_the_scheme_in_place(dim, grid, cutoff, g_kind, convection, n_paths):
     lat = build_lattice(dim, grid)
     system = _batch_system(lat, g_kind)
-    stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection), system, lat)
     c = np.stack([pack_ball(smooth_field(lat, seed=s).coeffs, lat, cutoff)
                   for s in range(n_paths)])
     dw = 0.03 * np.random.default_rng(9).standard_normal((n_paths, system.n_wiener))
     dw[n_paths // 2] = 0.0   # one row without any increment
     for phi in (0.0, 0.2):
-        c_new, obs, bad = stepper.advance(c, dw, phi)
+        # past phi_cap the step's Gevrey width is phi_cap itself
+        stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection, phi_cap=phi),
+                           system, lat)
+        c_new = stepper.advance(c, dw)
         pre = c + stepper.cfg.dt * stepper.explicit_drift(c) + stepper.noise_sum(c, dw)
         assert c_new.tobytes() == (stepper.decay * pre).tobytes()
+        stack = _stack(stepper, lat, c, t=1.0)
+        assert _advance(stack, stepper, dw) == []
+        assert stack.c.tobytes() == c_new.tobytes()
         reference = _observables_reference(stepper, c_new, phi)
-        assert list(obs) == list(reference)
-        for name, value in obs.items():
+        assert list(stack.obs) == list(reference)
+        for name, value in stack.obs.items():
             assert np.ascontiguousarray(value).tobytes() == reference[name].tobytes(), name
-        assert list(bad) == [""] * n_paths
+        assert stack.failed == [None] * n_paths
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -236,10 +258,12 @@ def test_advance_nan_increment_is_a_coefficient_failure(lat32):
     c = np.stack([pack_ball(smooth_field(lat32, seed=s).coeffs, lat32, 4) for s in range(3)])
     dw = 0.03 * np.random.default_rng(10).standard_normal((3, system.n_wiener))
     dw[1, 2] = np.nan
-    c_new, _, bad = stepper.advance(c, dw, 0.2)
-    assert list(bad) == ["", "coefficient", ""]
+    stack = _stack(stepper, lat32, c, t=0.2)
+    assert _advance(stack, stepper, dw) == [1]
+    assert stack.failed == [None, "non-finite coefficient at t=0.201 (step 1, dt=0.001)", None]
+    assert not np.any(stack.c[1])
     for p in (0, 2):
-        assert c_new[p].tobytes() == stepper.advance(c[p], dw[p], 0.2)[0].tobytes()
+        assert stack.c[p].tobytes() == stepper.advance(c[p], dw[p]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -249,12 +273,14 @@ def test_advance_flags_nonfinite_rows_only(lat32, off_system):
     huge = pack_ball(single_mode_field(lat32, (1, 0), (0.0, 1e200)).coeffs, lat32, 4)
     broken = good.copy()
     broken[0, 0] = np.nan
-    c_new, _, bad = stepper.advance(np.stack([good, huge, broken, good]),
-                                    np.zeros((4, 0)), 0.1)
-    assert list(bad) == ["", "l2_sq, h1_sq, h2_sq, gevrey_h1_sq, gevrey_h2_sq",
-                         "coefficient", ""]
-    alone = stepper.advance(good, np.zeros(0), 0.1)[0]
-    assert c_new[0].tobytes() == c_new[3].tobytes() == alone.tobytes()
+    stack = _stack(stepper, lat32, np.stack([good, huge, broken, good]), t=0.1)
+    assert _advance(stack, stepper, np.zeros((4, 0))) == [1, 2]
+    assert stack.failed == [
+        None, "non-finite l2_sq, h1_sq, h2_sq, gevrey_h1_sq, gevrey_h2_sq at t=0.101 "
+              "(step 1, dt=0.001)",
+        "non-finite coefficient at t=0.101 (step 1, dt=0.001)", None]
+    alone = stepper.advance(good, np.zeros(0))
+    assert stack.c[0].tobytes() == stack.c[3].tobytes() == alone.tobytes()
 
 
 def test_pack_unpack_round_trip(lat3d):
@@ -706,8 +732,11 @@ def test_linear_oracle_averages_finite_paths_only(monkeypatch):
     config = _small_oracle_config()
     strong, modulus = _oracle_reference(config)
     monkeypatch.setattr(studies, "refine_paths", refine_nan)
-    result = studies.linear_oracle_study(config)
-    assert list(result.nonfinite) == [1]
-    assert result.nonfinite[1] == "non-finite coefficient at t=0.01 (step 4, dt=0.0025)"
-    assert result.strong_errors == list(np.mean(strong[[0, 2]], axis=0))
-    assert result.modulus_errors == list(np.mean(modulus[[0, 2]], axis=0))
+    # one chunk of three paths, and chunks of one and two on two workers
+    for workers in (1, 2):
+        result = studies.linear_oracle_study(
+            config.with_overrides({"ensemble": {"workers": workers}}))
+        assert list(result.nonfinite) == [1]
+        assert result.nonfinite[1] == "non-finite coefficient at t=0.01 (step 4, dt=0.0025)"
+        assert result.strong_errors == list(np.mean(strong[[0, 2]], axis=0))
+        assert result.modulus_errors == list(np.mean(modulus[[0, 2]], axis=0))
