@@ -143,9 +143,7 @@ class ExperimentConfig:
     # -- loading ------------------------------------------------------------
 
     @classmethod
-    def from_dict(cls, raw: dict, merge_defaults: bool = False) -> "ExperimentConfig":
-        if merge_defaults:
-            raw = _merged(raw)
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _check_keys(raw)
         cfg = cls(data=copy.deepcopy(raw))
         cfg.validate()

@@ -163,6 +163,18 @@ def unpack_ball(c: np.ndarray, lattice: WaveLattice, cutoff: int) -> np.ndarray:
     return out
 
 
+def inner_ball(lattice: WaveLattice, cutoff: int, inner: int) -> np.ndarray:
+    """Boolean mask over the rows of cutoff's packed ball: the modes |k| <= inner.
+
+    Every lattice of more than 2 * inner points per axis stores those modes in
+    one order (per axis non-negative components first, then negative ones),
+    so the rows are inner's packed ball, in its order, on any such grid.
+    """
+    if not 1 <= inner <= cutoff:
+        raise ValueError(f"inner cutoff {inner} is not in [1, {cutoff}]")
+    return lattice.ksq[lattice.ball_mask(cutoff)] <= inner * inner
+
+
 def galerkin_complement(f: SpectralField, cutoff: int) -> SpectralField:
     """The tail I - P^N: modes with |k| > cutoff."""
     mask = f.lattice.active & ~f.lattice.ball_mask(cutoff)
@@ -229,14 +241,9 @@ def parseval_weight(lattice: WaveLattice, r: float,
     return weight
 
 
-def parseval_norm_sq(coeffs: np.ndarray, weight: np.ndarray) -> float:
-    """sum_k weight[k] |u_hat[k]|^2 for a `parseval_weight` array."""
-    return float(np.sum(weight * _mod_sq(coeffs)))
-
-
 def sobolev_norm_sq(f: SpectralField, r: float) -> float:
     """Squared homogeneous H^r norm: sum_k |k|^(2r) |u_hat[k]|^2."""
-    return parseval_norm_sq(f.coeffs, parseval_weight(f.lattice, r))
+    return float(np.sum(parseval_weight(f.lattice, r) * _mod_sq(f.coeffs)))
 
 
 def sobolev_norm(f: SpectralField, r: float) -> float:
@@ -244,23 +251,16 @@ def sobolev_norm(f: SpectralField, r: float) -> float:
 
 
 def gevrey_sobolev_norm_sq(f: SpectralField, w: GevreyWeight) -> float:
-    """Squared Gevrey norm ||exp(phi A^(1/2s)) f||_{H^r}^2 via log-sum-exp.
+    """Squared Gevrey norm ||exp(phi A^(1/2s)) f||_{H^r}^2.
 
-    Accumulates in log space so large phi yields a finite value or a
-    GevreyOverflowError, never a silent inf.
+    A value that leaves double range, through the weight or through the
+    field's own moduli, raises GevreyOverflowError: never a silent inf or NaN.
     """
-    weight = parseval_weight(f.lattice, w.r, w)
-    mod_sq = _mod_sq(f.coeffs)
-    sel = (weight > 0.0) & (mod_sq > 0.0)
-    if not np.any(sel):
-        return 0.0
-    log_terms = np.log(weight[sel]) + np.log(mod_sq[sel])
-    peak = float(log_terms.max())
-    log_sq = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    if log_sq > _LOG_MAX_DOUBLE:
-        raise GevreyOverflowError(
-            f"Gevrey-H^r norm overflows double range (log norm^2 = {log_sq:.1f})")
-    return math.exp(log_sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(parseval_weight(f.lattice, w.r, w) * _mod_sq(f.coeffs)))
+    if not math.isfinite(total):
+        raise GevreyOverflowError(f"Gevrey-H^r norm overflows double range ({total})")
+    return total
 
 
 def gevrey_sobolev_norm(f: SpectralField, w: GevreyWeight) -> float:

@@ -3,9 +3,9 @@
 The state lives on the modes |k| <= N and is stored as that Galerkin ball
 alone: `SimState.c` holds the packed (dim, n_ball) coefficients, which the
 steps read and write as they are, and `SimState.u` unpacks them into a
-half-spectrum field only for readers that need one. One step of the
-exponential Euler-Maruyama scheme applies the exact viscous semigroup to
-everything explicit:
+half-spectrum field only for snapshot spectra and `invariants`. One step
+of the exponential Euler-Maruyama scheme applies the exact viscous
+semigroup to everything explicit:
 
     u+ = exp(-nu A dt) [ u + dt (drift(u) + nu A u) + sum_k diffusion_k(u) dW_k ]
 
@@ -520,23 +520,17 @@ def _record(series: dict, row: int, stack: PathStack) -> None:
 # ---------------------------------------------------------------------------
 # exact linear oracle and the coupled-pair stopping monitor
 
-def linear_exact_at(u0: SpectralField, xi, nu: float, t: float):
-    """Closed form for the linear system (no convection, g = 0, one constant xi)
-    at time t, as a map from a path's W_t to the coefficients
+def linear_exact(u0: SpectralField, xi, nu: float, w_value: float,
+                 t: float) -> SpectralField:
+    """Closed form for the linear system (no convection, g = 0, one constant xi).
 
-        u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t),
-
-    whose modulus decays like the heat semigroup on every path. The
-    path-independent phase and heat exponent are evaluated once.
+    Mode-wise u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t); the modulus
+    decays like the heat semigroup on every path.
     """
     lat = u0.lattice
     (theta,), _ = nonlinear.transport_multipliers(lat, [xi])
-    heat_exp, i_theta = -nu * lat.ksq.astype(np.float64) * t, 1j * theta
-    return lambda w: np.where(lat.active, u0.coeffs * np.exp(heat_exp - i_theta * w), 0.0)
-
-
-def linear_exact(u0: SpectralField, xi, nu: float, w_value: float, t: float) -> SpectralField:
-    return u0.with_coeffs(linear_exact_at(u0, xi, nu, t)(w_value))
+    factor = np.exp(-nu * lat.ksq.astype(np.float64) * t - 1j * theta * w_value)
+    return u0.with_coeffs(np.where(lat.active, u0.coeffs * factor, 0.0))
 
 
 def tau_r_reached(h2_int_n: float, h2_int_ref: float, r_threshold: float) -> bool:

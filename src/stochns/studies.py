@@ -7,7 +7,8 @@ split into contiguous chunks of paths by `_run_chunks`, a multiple of
 its paths as one packed stack (`sde.PathStack`) through `sde._advance`, and
 the results are reassembled in path order. A stack gives each path the
 arithmetic it gets alone and the Wiener driver is counter-based, so results
-do not depend on the worker count or the chunking.
+do not depend on the worker count or the chunking. The decay-study and
+linear-oracle errors are `_Stepper.observables` sums over packed rows.
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import numpy as np
 from . import diagnostics, nonlinear
 from .brownian import increments, increments_paths, refine_paths
 from .config import ConfigError, ExperimentConfig
-from .fields import (GevreyWeight, galerkin_complement, galerkin_project,
-                     leray_project, parseval_norm_sq, parseval_weight, random_field,
-                     sobolev_norm_sq, transfer, unpack_ball, weighted_inner,
+from .fields import (GevreyWeight, galerkin_complement, galerkin_project, inner_ball,
+                     leray_project, random_field, sobolev_norm_sq, transfer, weighted_inner,
                      validate_physical)
 from .noise import (validate_commutativity, validate_growth_lipschitz,
                     validate_orthogonality, validate_system)
 from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability,
-                  initial_state, integrate_paths, linear_exact_at, step, tau_r_reached)
+                  initial_state, integrate_paths, step, tau_r_reached)
 
 
 # bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
@@ -169,10 +169,11 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     which realizes the coupled difference system. The reference steps on
     the configured grid; each cutoff steps on its own minimal dealias grid
     (`config.cutoff_lattice`), where its quadratic products are just as
-    exact. Per path and cutoff the squared H^1 error, with u_N carried onto
-    the reference lattice, is taken at t_end ^ tau_R, where tau_R is the
-    first step boundary at which the paired H^2 integral reaches R
-    (`sde.tau_r_reached`, the rule `sde.monitor_tau_R` applies).
+    exact. Per path and cutoff the squared H^1 error is taken at
+    t_end ^ tau_R, where tau_R is the first step boundary at which the
+    paired H^2 integral reaches R (`sde.tau_r_reached`, the rule
+    `sde.monitor_tau_R` applies): the stepper's `h1_sq` of the packed
+    reference rows less u_N on its rows (`fields.inner_ball`).
     """
     lattice, system, u0 = prepare(config)
     cutoffs = sorted(config["galerkin.cutoffs"])
@@ -187,9 +188,11 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     starts = {n: initial_state(transfer(u0, lattices[n]), steppers[n].cfg) for n in runs}
     n_steps = steppers[n_ref].cfg.n_steps
     dt = steppers[n_ref].cfg.dt
+    # u_N's packed ball is these rows of the reference's, in its order
+    rows = {n: inner_ball(lattice, n_ref, n) for n in cutoffs}
 
-    def error_sq(u_ref, u_n) -> float:
-        return sobolev_norm_sq(u_ref - transfer(u_n, lattice), 1.0)
+    def h1_sq(c: np.ndarray) -> np.ndarray:
+        return steppers[n_ref].observables(c, 0.0)["h1_sq"]
 
     def run_chunk(indices: range) -> list[DecayPathOutcome]:
         blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in indices],
@@ -200,35 +203,38 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
         errors = [{} for _ in indices]
         stop_times = [{} for _ in indices]
         pending = {n: np.ones(len(indices), dtype=bool) for n in cutoffs}
-        for i in range(n_steps):
-            for n in runs:
-                # a path's first error ends it at every cutoff
-                for p in _advance(stacks[n], steppers[n], dw[i]):
-                    for other in stacks.values():
-                        if other.live[p]:
-                            other.fail(p, stacks[n].failed[p])
+        for i in range(n_steps + 1):
+            if i:
+                for n in runs:
+                    # a path's first error ends it at every cutoff
+                    for p in _advance(stacks[n], steppers[n], dw[i - 1]):
+                        for other in stacks.values():
+                            if other.live[p]:
+                                other.fail(p, stacks[n].failed[p])
             for n in cutoffs:
-                reached = tau_r_reached(stacks[n].h2_int, ref.h2_int, r_threshold)
-                for p in np.flatnonzero(reached & pending[n] & ref.live):
-                    pending[n][p] = False
-                    stop_times[p][n] = stacks[n].t
-                    errors[p][n] = error_sq(ref.state(p).u, stacks[n].state(p).u)
+                # the error is taken at tau_R, or at t_end when tau_R never comes
+                take = pending[n] & ref.live
+                if i < n_steps:
+                    take &= tau_r_reached(stacks[n].h2_int, ref.h2_int, r_threshold)
+                if take.any():
+                    diff = ref.c[take]
+                    diff[..., rows[n]] -= stacks[n].c[take]
+                    for p, error in zip(np.flatnonzero(take), h1_sq(diff)):
+                        pending[n][p] = False
+                        stop_times[p][n] = stacks[n].t
+                        errors[p][n] = float(error)
+        tail = ref.c.copy()
+        tail[..., rows[max(cutoffs)]] = 0.0
         outcomes = []
-        for p, path_index in enumerate(indices):
+        for p, (path_index, tail_sq) in enumerate(zip(indices, h1_sq(tail))):
             if ref.failed[p]:
                 outcomes.append(DecayPathOutcome(path_index=path_index, errors_sq={},
                                                  stop_times={}, ref_tail_sq=float("nan"),
                                                  nonfinite=ref.failed[p]))
-                continue
-            u_ref = ref.state(p).u
-            for n in cutoffs:
-                if pending[n][p]:
-                    stop_times[p][n] = ref.t
-                    errors[p][n] = error_sq(u_ref, stacks[n].state(p).u)
-            tail = galerkin_complement(u_ref, max(cutoffs))
-            outcomes.append(DecayPathOutcome(path_index=path_index, errors_sq=errors[p],
-                                             stop_times=stop_times[p],
-                                             ref_tail_sq=sobolev_norm_sq(tail, 1.0)))
+            else:
+                outcomes.append(DecayPathOutcome(path_index=path_index, errors_sq=errors[p],
+                                                 stop_times=stop_times[p],
+                                                 ref_tail_sq=float(tail_sq)))
         return outcomes
 
     outcomes = _run_chunks(run_chunk, config["ensemble.n_paths"], config["ensemble.workers"],
@@ -296,7 +302,6 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     lattice, system, u0 = prepare(config)
     if len(system.xi.index_set) != 1:
         raise ConfigError("linear oracle requires exactly one constant transport vector")
-    xi_vec = np.asarray(system.xi.vectors[0])
     nu = config["physics.nu"]
     t_end = config["physics.t_end"]
     dt0 = config["physics.dt"]
@@ -306,9 +311,9 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     steppers = [_Stepper(dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
                                              dt=dt), system, lattice) for dt in dts]
     start = initial_state(u0, steppers[0].cfg)
-    exact_at = linear_exact_at(start.u, xi_vec, nu, t_end)
-    heat = np.abs(exact_at(0.0))
-    weight = parseval_weight(lattice, 0.0)
+    # the closed form on the ball, u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t)
+    heat_exp, i_theta = -nu * steppers[0].ksq * t_end, 1j * steppers[0].xi_phase[0]
+    heat = np.abs(start.c * np.exp(heat_exp - i_theta * 0.0))
 
     def run_chunk(indices: range) -> list[tuple]:
         blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in indices],
@@ -321,12 +326,11 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
             stack = PathStack(start, len(indices), stepper)
             for dw in np.stack([block.increments for block in blocks], axis=1):
                 _advance(stack, stepper, dw)
-            for p, block in enumerate(blocks):
-                failed[p] = failed[p] or stack.failed[p]
-                final = unpack_ball(stack.c[p], lattice, start.cutoff)
-                w_end = float(block.increments[:, 0].sum())
-                strong[p, lvl] = math.sqrt(parseval_norm_sq(final - exact_at(w_end), weight))
-                modulus[p, lvl] = float(np.abs(np.abs(final) - heat).max())
+            failed = [first or now for first, now in zip(failed, stack.failed)]
+            w_end = np.array([[[block.increments[:, 0].sum()]] for block in blocks])
+            exact = start.c * np.exp(heat_exp - i_theta * w_end)
+            strong[:, lvl] = np.sqrt(stepper.observables(stack.c - exact, 0.0)["l2_sq"])
+            modulus[:, lvl] = np.abs(np.abs(stack.c) - heat).max(axis=(-2, -1))
         return list(zip(strong, modulus, failed))
 
     rows = _run_chunks(run_chunk, n_paths, config["ensemble.workers"], 16 * start.c.size,

@@ -9,12 +9,12 @@ from stochns.fields import (GevreyOverflowError, GevreyWeight,
                             LatticeMismatchError, SpectralField,
                             galerkin_complement, galerkin_project,
                             gevrey_apply, gevrey_sobolev_norm,
-                            gevrey_sobolev_norm_sq,
-                            leray_project, random_field, random_h1_field,
+                            gevrey_sobolev_norm_sq, inner_ball,
+                            leray_project, pack_ball, random_field, random_h1_field,
                             single_mode_field, sobolev_norm,
                             sobolev_norm_sq, stokes_power, transfer,
                             validate_physical, weighted_inner, zero_field)
-from stochns.lattice import build_lattice
+from stochns.lattice import build_lattice, galerkin_grid
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,13 @@ def test_gevrey_overflow_flagged(lat32):
         gevrey_apply(f, GevreyWeight(s=1.0, r=0.0, phi=60.0))
     with pytest.raises(GevreyOverflowError):
         gevrey_sobolev_norm(f, GevreyWeight(s=1.0, r=1.0, phi=60.0))
+
+
+def test_gevrey_norm_overflowing_modulus_raises():
+    # |u_hat|^2 = 1e400 is inf although the field and the weight are finite
+    f = single_mode_field(build_lattice(2, 32), (1, 0), (0.0, 1e200))
+    with pytest.raises(GevreyOverflowError):
+        gevrey_sobolev_norm_sq(f, GevreyWeight(r=1.0, phi=0.1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +356,27 @@ def test_hermitian_residual_flags_broken_pair_on_plane(lat16):
     rep = validate_physical(SpectralField(lat16, broken, solenoidal=True))
     assert rep.hermitian_residual == pytest.approx(0.25, rel=1e-12)
     assert not rep.ok(1e-13)
+
+
+# ---------------------------------------------------------------------------
+# packed balls inside packed balls
+
+@pytest.mark.parametrize("dim, grid_n, cutoff, inners", [
+    (2, 200, 64, (8, 12, 16, 24, 32)),   # the decay preset
+    (2, 100, 32, (8, 16)),               # the default (sim2d) cutoffs
+    (3, 48, 16, (4, 8)),                 # sim3d
+])
+def test_inner_ball_is_the_inner_packed_ball_on_every_grid(dim, grid_n, cutoff, inners):
+    outer = build_lattice(dim, grid_n)
+    for inner in inners:
+        rows = pack_ball(outer.k, outer, cutoff)[:, inner_ball(outer, cutoff, inner)]
+        assert 2 * inner + 2 <= galerkin_grid(inner) <= 3 * inner + 10
+        for grid in range(2 * inner + 2, 3 * inner + 11, 2):
+            lat = build_lattice(dim, grid)
+            np.testing.assert_array_equal(pack_ball(lat.k, lat, inner), rows)
+
+
+def test_inner_ball_selects_a_ball_inside_the_cutoff(lat32):
+    assert inner_ball(lat32, 8, 8).all()
+    with pytest.raises(ValueError):
+        inner_ball(lat32, 8, 9)

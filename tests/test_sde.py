@@ -11,7 +11,7 @@ from conftest import smooth_field, transport_system
 from stochns import studies
 from stochns.brownian import PathSpec, increments, refine, refine_paths
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
-from stochns.fields import (pack_ball, random_h1_field,
+from stochns.fields import (galerkin_complement, pack_ball, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer, unpack_ball,
                             validate_physical, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
@@ -618,6 +618,37 @@ def test_monitor_tau_r_is_decay_study_rule():
             assert all(t == pytest.approx(0.05) for t in outcome.stop_times.values())
 
 
+@pytest.mark.parametrize("t_end", [0.0, 0.05])
+def test_decay_study_errors_match_half_spectrum_definitions(t_end):
+    # errors on the packed reference rows against ||u_ref - u_N||_H1^2 with
+    # u_N carried onto the reference lattice, at each cutoff's stop; at
+    # t_end 0 every error is taken at the start
+    config = default_decay_config(**{
+        "lattice": {"grid_n": 50}, "physics": {"t_end": t_end, "dt": 0.005},
+        "galerkin": {"cutoffs": [4, 6, 8], "n_ref": 16}, "ensemble": {"n_paths": 1}})
+    lattice, system, u0 = studies.prepare(config)
+    path = config.path_spec(0, system.n_wiener)
+    lattices = {n: config.cutoff_lattice(n) for n in (4, 6, 8)} | {16: lattice}
+    trajs = {n: integrate(config.stepper_config(n), system, path, transfer(u0, lat),
+                          check_stability=False) for n, lat in lattices.items()}
+    ref = trajs.pop(16)
+    # R is the smallest cutoff's paired integral at a mid-run step
+    mid = len(ref.times) // 2
+    r_mid = float(trajs[4].series["h2_int"][mid] + ref.series["h2_int"][mid]) or 1.0
+    outcome = studies.decay_study(
+        config.with_overrides({"monitors": {"h2_r": r_mid}})).outcomes[0]
+    assert outcome.stop_times[4] == ref.times[mid]
+    if t_end == 0.0:
+        assert outcome.stop_times == {4: 0.0, 6: 0.0, 8: 0.0}
+    for n, traj in trajs.items():
+        state, = (s for s in traj.states if s.t == outcome.stop_times[n])
+        ref_state, = (s for s in ref.states if s.t == outcome.stop_times[n])
+        expected = sobolev_norm_sq(ref_state.u - transfer(state.u, lattice), 1.0)
+        assert outcome.errors_sq[n] == pytest.approx(expected, rel=1e-13)
+    tail = sobolev_norm_sq(galerkin_complement(ref.final.u, 8), 1.0)
+    assert outcome.ref_tail_sq == pytest.approx(tail, rel=1e-13)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_blowup_aborts_with_partial_trajectory(lat32):
     # nearly inviscid, huge dt: the explicit convection term blows up
@@ -678,13 +709,14 @@ def test_overflowing_convection_raises(lat32, off_system):
 
 def _oracle_reference(config):
     """Per-path strong and modulus errors of the linear oracle, by one
-    `integrate` call per path and dt level."""
-    _, system, u0 = studies.prepare(config)
+    `integrate` call per path and dt level, measured on the packed ball; and
+    the strong errors by their half-spectrum definition."""
+    lattice, system, u0 = studies.prepare(config)
     xi = np.asarray(system.xi.vectors[0])
     nu, t_end, dt0 = config["physics.nu"], config["physics.t_end"], config["physics.dt"]
     levels = config["oracle.refinements"] + 1
     n_paths = config["ensemble.n_paths"]
-    strong, modulus = np.zeros((n_paths, levels)), np.zeros((n_paths, levels))
+    strong, modulus, half_strong = np.zeros((3, n_paths, levels))
     for i in range(n_paths):
         path = config.path_spec(i, system.n_wiener)
         block = increments(path, 0.0, dt0, round(t_end / dt0))
@@ -693,14 +725,18 @@ def _oracle_reference(config):
                                       dt=dt0 / 2**lvl)
             traj = integrate(cfg, system, path, u0, store_every=10**9, driving=block,
                              check_stability=False)
-            start, final = traj.states[0].u, traj.final.u
-            exact = linear_exact(start, xi, nu, float(block.increments[:, 0].sum()), t_end)
-            strong[i, lvl] = math.sqrt(sobolev_norm_sq(final - exact, 0.0))
-            heat = np.abs(linear_exact(start, xi, nu, 0.0, t_end).coeffs)
-            modulus[i, lvl] = float(np.abs(np.abs(final.coeffs) - heat).max())
+            start, final = traj.states[0].u, traj.final.c
+            exact, heat = (linear_exact(start, xi, nu, w, t_end)
+                           for w in (float(block.increments[:, 0].sum()), 0.0))
+            diff = final - pack_ball(exact.coeffs, lattice, cfg.cutoff)
+            stepper = _Stepper(cfg, system, lattice)
+            strong[i, lvl] = math.sqrt(stepper.observables(diff, 0.0)["l2_sq"])
+            modulus[i, lvl] = float(np.abs(np.abs(final) - np.abs(
+                pack_ball(heat.coeffs, lattice, cfg.cutoff))).max())
+            half_strong[i, lvl] = math.sqrt(sobolev_norm_sq(traj.final.u - exact, 0.0))
             if lvl + 1 < levels:
                 block = refine(block, 2)
-    return strong, modulus
+    return strong, modulus, half_strong
 
 
 def _small_oracle_config():
@@ -710,11 +746,13 @@ def _small_oracle_config():
 
 def test_linear_oracle_chunks_match_per_path_integration():
     config = _small_oracle_config()
-    strong, modulus = _oracle_reference(config)
+    strong, modulus, half_strong = _oracle_reference(config)
     result = studies.linear_oracle_study(config)
     assert result.nonfinite == {}
     assert result.strong_errors == list(np.mean(strong, axis=0))
     assert result.modulus_errors == list(np.mean(modulus, axis=0))
+    # the ball's sums are the half-spectrum norm, summed in another order
+    np.testing.assert_allclose(strong, half_strong, rtol=1e-13, atol=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -730,7 +768,7 @@ def test_linear_oracle_averages_finite_paths_only(monkeypatch):
         return fines
 
     config = _small_oracle_config()
-    strong, modulus = _oracle_reference(config)
+    strong, modulus, _ = _oracle_reference(config)
     monkeypatch.setattr(studies, "refine_paths", refine_nan)
     # one chunk of three paths, and chunks of one and two on two workers
     for workers in (1, 2):
