@@ -209,6 +209,15 @@ def _trace_free(grid: np.ndarray, prod: np.ndarray):
         yield i, i
 
 
+def _leray(plan: ConvectPlan, acc: np.ndarray) -> None:
+    """The Leray projection of packed output modes in place: acc minus
+    k (k . acc) / |k|^2, with k . acc summed over j in ascending order."""
+    div = plan.k[0] * acc[0]
+    for k_j, acc_j in zip(plan.k[1:], acc[1:]):
+        div += k_j * acc_j
+    acc -= plan.k_over_ksq * div
+
+
 def convect(u, v, plan: ConvectPlan | None = None):
     """Leray-projected advection P((u . grad) v), dealiased.
 
@@ -263,7 +272,7 @@ def convect(u, v, plan: ConvectPlan | None = None):
             for j in range(dim):
                 np.multiply(u_phys[j], v_phys[m], out=prod)
                 acc[m] += ik[j] * _to_modes(plan, prod, spec, crop)
-    acc -= plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
+    _leray(plan, acc)
     if field_result:
         coeffs = np.zeros((dim,) + lat.shape, dtype=np.complex128)
         coeffs[:, lat.dealias_mask] = acc

@@ -11,11 +11,16 @@ semigroup to everything explicit:
 
 with drift = -P^N P((u.grad)u) - nu A u + 1/2 sum_k P^N P((xi_k.grad)(xi_k.grad)u)
 and diffusion_k = P^N P[g_k(u) - (xi_k.grad)u]. The transport coefficients
-are constant vectors, so the corrector and the whole noise sum
-c (sum_k g_k dW_k - i sum_k dW_k (xi_k . k)) + sum_k dW_k sigma_hat_k are
-diagonal multiplies plus the additive fields: `_Stepper.advance` evaluates
-the bracket in place on one new array, the noise sum as one complex
-multiplier per path and mode, and returns only the new coefficients.
+are constant vectors and g is linear or additive, so everything but
+convection and the additive fields is diagonal on the ball: the semigroup,
+the corrector C and the noise c_k dW_k - i (xi_k . k) dW_k.
+`_Stepper.advance` folds them into one complex multiplier per path and mode,
+
+    m = exp(-nu |k|^2 dt) [1 + dt C + sum_k c_k dW_k - i sum_k (xi_k . k) dW_k],
+
+applies it to the stack in one pass, adds dt exp(-nu |k|^2 dt) times the
+convection term and the decayed fields sigma_hat_k dW_k, and returns only
+the new coefficients.
 
 `_advance` is the one step loop body of every command: it advances a
 `PathStack` of paths from one start, reduces the five observables in one
@@ -211,15 +216,21 @@ class _Stepper:
             self.additive_hat = [transfer(leray_project(sig), lattice).coeffs[:, ball]
                                  for sig in system.g.sigmas]
 
+        # the step's diagonal terms with the viscous decay folded in
+        self.step_diag = self.decay * (1.0 + cfg.dt * self.corrector_mult)
+        self.xi_decay = [self.decay * phase for phase in self.xi_phase]
+        self.dt_decay = cfg.dt * self.decay
+        self.additive_decay = [self.decay * sigma for sigma in self.additive_hat or ()]
+
     # -- pieces -------------------------------------------------------------
 
     def explicit_drift(self, c: np.ndarray) -> np.ndarray:
-        """Drift without the viscous term: -P^N P((u.grad)u) + Ito corrector.
+        """The drift's one non-diagonal term -P^N P((u.grad)u), zero without convection.
 
         Convection is the one stage off the ball: `convect` takes each packed
         path through the grid and returns it packed.
         """
-        out = c * self.corrector_mult
+        out = np.zeros_like(c)
         if self.cfg.convection:
             for path in np.ndindex(c.shape[:-2]):
                 u = c[path]  # one object for both arguments: the symmetric path
@@ -227,23 +238,31 @@ class _Stepper:
                     out[path] -= nonlinear.convect(u, u, self.convect_plan)
         return out
 
+    def _diagonal_noise(self, dw: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal noise lin + i d, summed up from +0: lin = sum_k c_k dW_k
+        of a linear g, (..., 1), and the complex (..., n_ball) array i d with
+        d = -sum_k dW_k phases_k over the transport family."""
+        sys_ = self.system
+        mult = np.zeros(dw.shape[:-1] + self.ksq.shape, dtype=np.complex128)
+        for phase, k_index in zip(phases, sys_.xi.index_set):
+            mult.imag -= dw[..., k_index, None] * phase
+        lin = np.zeros(dw.shape[:-1] + (1,))
+        if sys_.g.variant == "linear":
+            for coeff, k_index in zip(sys_.g.coefficients, sys_.g.index_set):
+                lin += dw[..., k_index, None] * coeff
+        return lin, mult
+
     def noise_sum(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """sum_k diffusion_k(u) dW_k: one diagonal multiply plus the additive fields.
 
         c is (..., dim, n_ball) and dw (..., n_wiener) with the same leading
         shape. An exactly zero increment adds no term to its path, and a path
         with no term gets zeros, so every path sums exactly what it would
-        alone.
+        alone. `advance` folds the same diagonal into its step multiplier.
         """
         sys_ = self.system
-        mult = np.zeros(dw.shape[:-1] + self.ksq.shape, dtype=np.complex128)
-        for phase, k_index in zip(self.xi_phase, sys_.xi.index_set):
-            mult.imag -= dw[..., k_index, None] * phase
-        lin = np.zeros(dw.shape[:-1] + (1,))
-        if sys_.g.variant == "linear":
-            for pos, k_index in enumerate(sys_.g.index_set):
-                lin += dw[..., k_index, None] * sys_.g.coefficients[pos]
-            mult.real += lin
+        lin, mult = self._diagonal_noise(dw, self.xi_phase)
+        mult.real = lin
         # the multiplier is lin + i d with neither part -0, so a zero increment
         # changes no bit of the product; a path with no nonzero transport
         # increment and lin == 0 has no term and gets zeros, not c * 0
@@ -267,13 +286,21 @@ class _Stepper:
 
     def advance(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
         """One exponential Euler-Maruyama step of every path in the stack c,
-        with one increment row per path in dw: the new coefficients."""
-        c_new = self.explicit_drift(c)
-        c_new *= self.cfg.dt
-        c_new += c
-        if self.system.n_wiener:
-            c_new += self.noise_sum(c, dw)
-        c_new *= self.decay
+        with one increment row per path in dw: the new coefficients. The
+        whole linear part is the one multiplier decay (1 + dt C + lin + i d);
+        convection and the additive fields are added outside it."""
+        # convection first: while convect runs, no other array of the step is live
+        drift = self.explicit_drift(c) if self.cfg.convection else None
+        lin, m = self._diagonal_noise(dw, self.xi_decay)
+        m.real = self.step_diag
+        if self.system.g.variant == "linear":
+            m.real += lin * self.decay
+        c_new = c * m[..., None, :]
+        if drift is not None:
+            drift *= self.dt_decay
+            c_new += drift
+        for sigma, k_index in zip(self.additive_decay, self.system.g.index_set):
+            c_new += dw[..., k_index, None, None] * sigma
         return c_new
 
     # -- scalar observables ---------------------------------------------------
@@ -386,7 +413,7 @@ def drift(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> Spectral
     """Full drift including the viscous term, supported on |k| <= N."""
     stepper = _Stepper(cfg, system, u.lattice)
     c = pack_ball(u.coeffs, u.lattice, cfg.cutoff)
-    out = stepper.explicit_drift(c) - cfg.nu * stepper.ksq * c
+    out = stepper.explicit_drift(c) + (stepper.corrector_mult - cfg.nu * stepper.ksq) * c
     return u.with_coeffs(unpack_ball(out, u.lattice, cfg.cutoff), solenoidal=True)
 
 

@@ -10,7 +10,7 @@ from stochns.fields import (GevreyWeight, LatticeMismatchError, SpectralField,
                             single_mode_field, sobolev_norm, sobolev_norm_sq,
                             unpack_ball, validate_physical, weighted_inner, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
-from stochns.nonlinear import (convect, convect_plan, dealias, from_physical,
+from stochns.nonlinear import (_leray, convect, convect_plan, dealias, from_physical,
                                ito_corrector, to_physical, transport)
 
 
@@ -207,6 +207,21 @@ def test_ball_modes_outside_dealias_mask_get_no_convection():
     assert np.all(out[:, outside] == 0.0)
     ref = pack_ball(unpruned_reference(lat, u.coeffs, u.coeffs), lat, 16)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 28, 8), (2, 100, 32), (2, 200, 64),
+                                             (3, 48, 16)])
+def test_leray_is_the_einsum_projection_bitwise(dim, grid, cutoff):
+    # convect's accumulators are summed up from +0, so they hold no -0; the
+    # zeros here are +0 too
+    plan = convect_plan(build_lattice(dim, grid), cutoff)
+    rng = np.random.default_rng(24)
+    acc = np.empty((dim, plan.k.shape[1]), dtype=np.complex128)
+    acc.real, acc.imag = rng.standard_normal((2,) + acc.shape)
+    acc[:, ::7] = 0.0
+    expected = acc - plan.k_over_ksq * np.einsum("j...,j...->...", plan.k, acc)
+    _leray(plan, acc)
+    assert acc.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 100, 32), (3, 16, 4)])

@@ -223,24 +223,56 @@ def _observables_reference(stepper, c, phi):
             "gevrey_h2_sq": np.sum(w_h2 * mod * gev, axis=-1)}
 
 
-@pytest.mark.parametrize("n_paths", [1, 3])
-@pytest.mark.parametrize("convection", [False, True])
-@pytest.mark.parametrize("g_kind", ["zero", "linear", "additive"])
-@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
-def test_advance_is_the_scheme_in_place(dim, grid, cutoff, g_kind, convection, n_paths):
+def _step_reference(stepper, c, dw):
+    """The step path by path in its multiplier form: c times
+    m = decay (1 + dt C + lin) - i sum_k dW_k decay (xi_k . k), built part by
+    part, then dt decay times the explicit drift and the fields dW_k decay
+    sigma_hat_k."""
+    sys_ = stepper.system
+    out = np.empty_like(c)
+    for p in np.ndindex(c.shape[:-2]):
+        m = np.empty(stepper.ksq.shape, dtype=np.complex128)
+        m.real = stepper.step_diag
+        if sys_.g.variant == "linear":
+            lin = 0.0
+            for pos, k_index in enumerate(sys_.g.index_set):
+                lin += float(dw[p][k_index]) * sys_.g.coefficients[pos]
+            m.real += lin * stepper.decay
+        imag = np.zeros(stepper.ksq.shape)
+        for phase, k_index in zip(stepper.xi_decay, sys_.xi.index_set):
+            imag -= dw[p][k_index] * phase
+        m.imag = imag
+        out[p] = c[p] * m
+        if stepper.cfg.convection:
+            out[p] += stepper.dt_decay * stepper.explicit_drift(c[p])
+        for pos, k_index in enumerate(sys_.g.index_set if sys_.g.variant == "additive" else ()):
+            out[p] += dw[p][k_index] * stepper.additive_decay[pos]
+    return out
+
+
+def _scheme_cases(dim, grid, cutoff, g_kind, n_paths):
+    """Stacked starts and increments, with one row without any increment."""
     lat = build_lattice(dim, grid)
     system = _batch_system(lat, g_kind)
     c = np.stack([pack_ball(smooth_field(lat, seed=s).coeffs, lat, cutoff)
                   for s in range(n_paths)])
     dw = 0.03 * np.random.default_rng(9).standard_normal((n_paths, system.n_wiener))
-    dw[n_paths // 2] = 0.0   # one row without any increment
+    dw[n_paths // 2] = 0.0
+    return lat, system, c, dw
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+@pytest.mark.parametrize("convection", [False, True])
+@pytest.mark.parametrize("g_kind", ["zero", "linear", "additive"])
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_advance_is_the_scheme_in_place(dim, grid, cutoff, g_kind, convection, n_paths):
+    lat, system, c, dw = _scheme_cases(dim, grid, cutoff, g_kind, n_paths)
     for phi in (0.0, 0.2):
         # past phi_cap the step's Gevrey width is phi_cap itself
         stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection, phi_cap=phi),
                            system, lat)
         c_new = stepper.advance(c, dw)
-        pre = c + stepper.cfg.dt * stepper.explicit_drift(c) + stepper.noise_sum(c, dw)
-        assert c_new.tobytes() == (stepper.decay * pre).tobytes()
+        assert c_new.tobytes() == _step_reference(stepper, c, dw).tobytes()
         stack = _stack(stepper, lat, c, t=1.0)
         assert _advance(stack, stepper, dw) == []
         assert stack.c.tobytes() == c_new.tobytes()
@@ -249,6 +281,24 @@ def test_advance_is_the_scheme_in_place(dim, grid, cutoff, g_kind, convection, n
         for name, value in stack.obs.items():
             assert np.ascontiguousarray(value).tobytes() == reference[name].tobytes(), name
         assert stack.failed == [None] * n_paths
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+@pytest.mark.parametrize("convection", [False, True])
+@pytest.mark.parametrize("g_kind", ["zero", "linear", "additive"])
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_advance_matches_the_bracket_form(dim, grid, cutoff, g_kind, convection, n_paths):
+    # the multiplier form against exp(-nu A dt) [u + dt (drift + nu A u) + noise]
+    lat, system, c, dw = _scheme_cases(dim, grid, cutoff, g_kind, n_paths)
+    for phi in (0.0, 0.2):
+        stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection, phi_cap=phi),
+                           system, lat)
+        drift_part = stepper.corrector_mult * c + stepper.explicit_drift(c)
+        bracket = stepper.decay * (c + stepper.cfg.dt * drift_part
+                                   + stepper.noise_sum(c, dw))
+        c_new = stepper.advance(c, dw)
+        for p in range(n_paths):
+            assert np.abs(c_new[p] - bracket[p]).max() <= 1e-13 * np.abs(bracket[p]).max()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
