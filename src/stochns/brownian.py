@@ -63,10 +63,6 @@ class IncrementBlock:
     def n_steps(self) -> int:
         return self.increments.shape[0]
 
-    def wiener_values(self) -> np.ndarray:
-        """Cumulative path W at the right endpoints of each step, per process."""
-        return np.cumsum(self.increments, axis=0)
-
 
 # Cephes ndtri: central rational approximation in y - 1/2 for
 # exp(-2) < y <= 1 - exp(-2), and in 1/x with x = sqrt(-2 log y) on the tails,

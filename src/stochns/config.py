@@ -25,12 +25,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .brownian import PathSpec
-from .fields import _LOG_MAX_DOUBLE, GevreyWeight, SpectralField, random_h1_field
+from .fields import GevreyWeight, SpectralField, gevrey_range_error, random_h1_field
 from .lattice import WaveLattice, build_lattice, galerkin_grid
 from .noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                     solenoidal_mode_field)
@@ -213,18 +212,10 @@ class ExperimentConfig:
         if gev["s"] <= 0 or gev["r"] < 0 or gev["phi_cap"] < 0:
             raise ConfigError("gevrey: s > 0, r >= 0, phi_cap >= 0 required")
         # the largest squared weight the stepper evaluates is the Gevrey-H^2
-        # one, |k|^4 exp(2 phi |k|^(1/s)), at |k| = n_ref
-        n_ref = gal["n_ref"]
-        exponent = gev["phi_cap"] * n_ref ** (1.0 / gev["s"])
-        if exponent > gev["exp_guard"]:
-            raise ConfigError(
-                f"gevrey.phi_cap={gev['phi_cap']}: exponent {exponent:.1f} at |k|=n_ref "
-                f"exceeds gevrey.exp_guard={gev['exp_guard']}")
-        log_weight = 2.0 * exponent + 4.0 * math.log(n_ref)
-        if log_weight > _LOG_MAX_DOUBLE:
-            raise ConfigError(
-                f"gevrey.phi_cap={gev['phi_cap']}: the squared Gevrey weight at |k|=n_ref "
-                f"is exp({log_weight:.1f}), beyond double range exp({_LOG_MAX_DOUBLE:g})")
+        # one at |k| = n_ref
+        problem = gevrey_range_error(gev["phi_cap"], gal["n_ref"], gev["s"], gev["exp_guard"])
+        if problem:
+            raise ConfigError(f"gevrey.phi_cap={gev['phi_cap']}: {problem}")
         mon = d["monitors"]
         if mon["budget_m"] <= 1:
             raise ConfigError("monitors.budget_m must exceed 1")

@@ -1,5 +1,5 @@
-"""Shell spectra, analyticity-radius fits, Galerkin-error decomposition,
-and the empirical checks behind the structural estimates.
+"""Shell spectra, analyticity-radius fits, ensemble means, and the
+empirical checks behind the structural estimates.
 
 The radius fit follows the coefficient bound |u_hat[k]|^2 <= C |k|^-2
 exp(-2 delta |k|): fitting log(kappa * max-modulus) against kappa removes the
@@ -18,8 +18,7 @@ import numpy as np
 from . import nonlinear
 from .fields import (GevreyWeight, SpectralField, gevrey_apply, parseval_weight,
                      random_field, require_same_lattice, sobolev_norm,
-                     transfer, weighted_inner, galerkin_complement,
-                     galerkin_project)
+                     transfer, weighted_inner)
 from .lattice import WaveLattice, get_lattice
 
 
@@ -113,30 +112,6 @@ def fit_exp_rate(cutoffs, errors) -> FitResult:
     if np.any(errs <= 0):
         raise FitRefusedError("errors must be strictly positive for a log fit")
     return _linear_fit(ns, np.log(errs), 0.0)
-
-
-@dataclass(frozen=True)
-class GalerkinError:
-    total: float      # ||u_ref - u_N||_{H^r}
-    tail: float       # ||Q^N u_ref||_{H^r}
-    resolved: float   # ||P^N u_ref - u_N||_{H^r}
-
-
-def galerkin_error(u_ref: SpectralField, u_n: SpectralField, cutoff: int,
-                   r: float = 1.0) -> GalerkinError:
-    """Split the truncation error into the tail and the resolved difference.
-
-    u_n must be supported on |k| <= cutoff, so total^2 = tail^2 + resolved^2
-    by orthogonality of the two mode sets.
-    """
-    require_same_lattice(u_ref, u_n)
-    outside = np.abs(u_n.coeffs[:, ~u_ref.lattice.ball_mask(cutoff)]).max() if u_n.coeffs.size else 0.0
-    if outside > 1e-12 * max(1.0, np.abs(u_n.coeffs).max()):
-        raise ValueError("u_n carries energy above the stated cutoff")
-    tail = sobolev_norm(galerkin_complement(u_ref, cutoff), r)
-    resolved = sobolev_norm(galerkin_project(u_ref, cutoff) - u_n, r)
-    total = sobolev_norm(u_ref - u_n, r)
-    return GalerkinError(total=total, tail=tail, resolved=resolved)
 
 
 def check_cancellation(xi, u: SpectralField, w: GevreyWeight, r: float) -> float:
@@ -243,22 +218,3 @@ def ensemble_mean(values) -> tuple[float, float]:
     if arr.size < 2:
         raise ValueError("need at least 2 values for an ensemble estimate")
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def exponential_shell_field(lattice: WaveLattice, delta: float,
-                            prefactor_power: float = -1.0,
-                            seed: int = 0) -> SpectralField:
-    """Synthetic field with per-shell amplitude kappa^p exp(-delta kappa).
-
-    Amplitudes are constant on each shell (they depend on kappa = round|k|,
-    not |k|), so fit_radius recovers delta exactly up to rounding.
-    """
-    rng = np.random.default_rng(seed)
-    f = random_field(lattice, rng, solenoidal=True)
-    mod = np.sqrt(np.sum(f.coeffs.real**2 + f.coeffs.imag**2, axis=0))
-    kappa = lattice.kappa.astype(np.float64)
-    act = lattice.active & (mod > 0)
-    target = np.zeros(lattice.shape)
-    target[act] = np.power(kappa[act], prefactor_power) * np.exp(-delta * kappa[act])
-    scale = np.where(act, target / np.where(act, mod, 1.0), 0.0)
-    return f.with_coeffs(f.coeffs * scale, solenoidal=True)

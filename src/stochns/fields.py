@@ -241,6 +241,20 @@ def parseval_weight(lattice: WaveLattice, r: float,
     return weight
 
 
+def gevrey_range_error(phi: float, kmax: float, s: float, exp_guard: float) -> str | None:
+    """Why the squared Gevrey-H^2 weight |k|^4 exp(2 phi |k|^(1/s)) cannot be
+    evaluated up to |k| = kmax, or None when it can: the exponent
+    phi kmax^(1/s) must stay within exp_guard and the weight in double range."""
+    exponent = phi * kmax ** (1.0 / s)
+    if exponent > exp_guard:
+        return f"exponent {exponent:.1f} at |k|={kmax:g} exceeds gevrey.exp_guard={exp_guard}"
+    log_weight = 2.0 * exponent + 4.0 * math.log(max(kmax, 1.0))
+    if log_weight > _LOG_MAX_DOUBLE:
+        return (f"the squared Gevrey weight at |k|={kmax:g} is exp({log_weight:.1f}), "
+                f"beyond double range exp({_LOG_MAX_DOUBLE:g})")
+    return None
+
+
 def sobolev_norm_sq(f: SpectralField, r: float) -> float:
     """Squared homogeneous H^r norm: sum_k |k|^(2r) |u_hat[k]|^2."""
     return float(np.sum(parseval_weight(f.lattice, r) * _mod_sq(f.coeffs)))
@@ -263,10 +277,6 @@ def gevrey_sobolev_norm_sq(f: SpectralField, w: GevreyWeight) -> float:
     return total
 
 
-def gevrey_sobolev_norm(f: SpectralField, w: GevreyWeight) -> float:
-    return math.sqrt(gevrey_sobolev_norm_sq(f, w))
-
-
 def weighted_inner(f: SpectralField, g: SpectralField, r: float = 0.0,
                    w: GevreyWeight | None = None) -> float:
     """Real inner product <A^r e^{phi A^(1/2s)} f, A^r e^{phi A^(1/2s)} g>_{L^2}.
@@ -277,10 +287,6 @@ def weighted_inner(f: SpectralField, g: SpectralField, r: float = 0.0,
     require_same_lattice(f, g)
     cross = np.sum(f.coeffs * np.conj(g.coeffs), axis=0).real
     return float(np.sum(parseval_weight(f.lattice, 2.0 * r, w) * cross))
-
-
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    return weighted_inner(f, g, r=0.0)
 
 
 # ---------------------------------------------------------------------------

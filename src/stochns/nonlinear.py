@@ -305,14 +305,3 @@ def transport(xi, u: SpectralField) -> SpectralField:
     lat = u.lattice
     (phase,), _ = transport_multipliers(lat, [xi])
     return u.with_coeffs(np.where(lat.active, u.coeffs * (1j * phase), 0.0))
-
-
-def ito_corrector(xis, u: SpectralField) -> SpectralField:
-    """Stratonovich-to-Ito drift 1/2 sum_k (xi_k . grad)(xi_k . grad) u.
-
-    For constant coefficients this is the real nonpositive multiplier
-    -1/2 sum_k (xi_k . k)^2 (dissipative); an empty family gives zero.
-    """
-    lat = u.lattice
-    _, mult = transport_multipliers(lat, xis)
-    return u.with_coeffs(np.where(lat.active, u.coeffs * mult, 0.0))

@@ -18,9 +18,11 @@ the corrector C and the noise c_k dW_k - i (xi_k . k) dW_k.
 
     m = exp(-nu |k|^2 dt) [1 + dt C + sum_k c_k dW_k - i sum_k (xi_k . k) dW_k],
 
-applies it to the stack in one pass, adds dt exp(-nu |k|^2 dt) times the
-convection term and the decayed fields sigma_hat_k dW_k, and returns only
-the new coefficients.
+whose diagonal noise `_Stepper.noise_sum` sums: it is the one
+implementation of the diffusion, and no per-index diffusion field is built.
+`advance` applies m to the stack in one pass, adds dt exp(-nu |k|^2 dt)
+times the convection term (`_Stepper.explicit_drift`) and the decayed
+fields sigma_hat_k dW_k, and returns only the new coefficients.
 
 `_advance` is the one step loop body of every command: it advances a
 `PathStack` of paths from one start, reduces the five observables in one
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import IncrementBlock, PathSpec, increments_paths
-from .fields import (GevreyWeight, SpectralField, galerkin_project, leray_project,
-                     pack_ball, parseval_weight, sobolev_norm_sq, transfer, unpack_ball)
+from .fields import (GevreyWeight, SpectralField, galerkin_project, gevrey_range_error,
+                     leray_project, pack_ball, parseval_weight, sobolev_norm_sq, transfer,
+                     unpack_ball)
 from .lattice import WaveLattice
 from .noise import NoiseSystem
 from . import nonlinear
@@ -199,28 +202,25 @@ class _Stepper:
         # observables read the ball only, so the Gevrey weight is never
         # evaluated off it, where it could overflow
         self.w_ball = [parseval_weight(lattice, r)[ball] for r in (0.0, 1.0, 2.0)]
-        self.root_ball = np.power(lattice.abs_k[ball], 1.0 / cfg.gevrey.s)
-        max_root = float(self.root_ball.max()) if self.root_ball.size else 0.0
-        if cfg.phi_cap * max_root > cfg.gevrey.exp_guard:
-            raise ValueError("phi_cap too large for this lattice/cutoff (Gevrey guard)")
+        abs_k = lattice.abs_k[ball]
+        self.root_ball = np.power(abs_k, 1.0 / cfg.gevrey.s)
+        kmax = float(abs_k.max()) if abs_k.size else 0.0
+        problem = gevrey_range_error(cfg.phi_cap, kmax, cfg.gevrey.s, cfg.gevrey.exp_guard)
+        if problem:
+            raise ValueError(f"phi_cap={cfg.phi_cap}: {problem}")
 
-        # the real phases (xi_k.k) per family position and the Ito corrector
+        # the real phases (xi_k.k) per family position, and the step's
+        # diagonal terms with the viscous decay folded in; the additive sigma
+        # fields are projected onto the ball, carried over from the lattice
+        # they were built on
         phases, corrector = nonlinear.transport_multipliers(lattice, system.xi.vectors)
         self.xi_phase = [phase[ball] for phase in phases]
-        self.corrector_mult = corrector[ball]
-
-        # additive sigma fields arrive pre-projected onto the ball, carried
-        # over from the lattice they were built on
-        self.additive_hat = None
-        if system.g.variant == "additive":
-            self.additive_hat = [transfer(leray_project(sig), lattice).coeffs[:, ball]
-                                 for sig in system.g.sigmas]
-
-        # the step's diagonal terms with the viscous decay folded in
-        self.step_diag = self.decay * (1.0 + cfg.dt * self.corrector_mult)
+        self.step_diag = self.decay * (1.0 + cfg.dt * corrector[ball])
         self.xi_decay = [self.decay * phase for phase in self.xi_phase]
         self.dt_decay = cfg.dt * self.decay
-        self.additive_decay = [self.decay * sigma for sigma in self.additive_hat or ()]
+        sigmas = system.g.sigmas if system.g.variant == "additive" else ()
+        self.additive_decay = [self.decay * transfer(leray_project(sig), lattice).coeffs[:, ball]
+                               for sig in sigmas]
 
     # -- pieces -------------------------------------------------------------
 
@@ -238,7 +238,7 @@ class _Stepper:
                     out[path] -= nonlinear.convect(u, u, self.convect_plan)
         return out
 
-    def _diagonal_noise(self, dw: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+    def noise_sum(self, dw: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal noise lin + i d, summed up from +0: lin = sum_k c_k dW_k
         of a linear g, (..., 1), and the complex (..., n_ball) array i d with
         d = -sum_k dW_k phases_k over the transport family."""
@@ -252,36 +252,6 @@ class _Stepper:
                 lin += dw[..., k_index, None] * coeff
         return lin, mult
 
-    def noise_sum(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """sum_k diffusion_k(u) dW_k: one diagonal multiply plus the additive fields.
-
-        c is (..., dim, n_ball) and dw (..., n_wiener) with the same leading
-        shape. An exactly zero increment adds no term to its path, and a path
-        with no term gets zeros, so every path sums exactly what it would
-        alone. `advance` folds the same diagonal into its step multiplier.
-        """
-        sys_ = self.system
-        lin, mult = self._diagonal_noise(dw, self.xi_phase)
-        mult.real = lin
-        # the multiplier is lin + i d with neither part -0, so a zero increment
-        # changes no bit of the product; a path with no nonzero transport
-        # increment and lin == 0 has no term and gets zeros, not c * 0
-        live = np.any(dw[..., list(sys_.xi.index_set)] != 0.0, axis=-1, keepdims=True)
-        has_term = (live | (lin != 0.0))[..., None]
-        out = c * mult[..., None, :]
-        if not has_term.all():
-            out = np.where(has_term, out, 0.0)
-        if sys_.g.variant == "additive":
-            # -0.0 + x is x bitwise: each path's sum starts at its first live field
-            acc = np.full(c.shape, complex(-0.0, -0.0))
-            has_acc = np.zeros_like(has_term)
-            for sigma, k_index in zip(self.additive_hat, sys_.g.index_set):
-                dwk = dw[..., k_index, None, None]
-                acc = np.where(dwk != 0.0, acc + dwk * sigma, acc)
-                has_acc |= dwk != 0.0
-            out = np.where(has_acc, np.where(has_term, out + acc, acc), out)
-        return out
-
     # -- one step -------------------------------------------------------------
 
     def advance(self, c: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -291,7 +261,7 @@ class _Stepper:
         convection and the additive fields are added outside it."""
         # convection first: while convect runs, no other array of the step is live
         drift = self.explicit_drift(c) if self.cfg.convection else None
-        lin, m = self._diagonal_noise(dw, self.xi_decay)
+        lin, m = self.noise_sum(dw, self.xi_decay)
         m.real = self.step_diag
         if self.system.g.variant == "linear":
             m.real += lin * self.decay
@@ -409,24 +379,6 @@ def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 # public operations
 
-def drift(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> SpectralField:
-    """Full drift including the viscous term, supported on |k| <= N."""
-    stepper = _Stepper(cfg, system, u.lattice)
-    c = pack_ball(u.coeffs, u.lattice, cfg.cutoff)
-    out = stepper.explicit_drift(c) + (stepper.corrector_mult - cfg.nu * stepper.ksq) * c
-    return u.with_coeffs(unpack_ball(out, u.lattice, cfg.cutoff), solenoidal=True)
-
-
-def diffusion(u: SpectralField, cfg: StepperConfig, system: NoiseSystem) -> list[SpectralField]:
-    """One diffusion field per Wiener index: P^N P[g_k(u) - (xi_k.grad)u],
-    the stepper's noise sum for the unit increment row e_k."""
-    stepper = _Stepper(cfg, system, u.lattice)
-    c = pack_ball(u.coeffs, u.lattice, cfg.cutoff)
-    return [u.with_coeffs(unpack_ball(stepper.noise_sum(c, e_k), u.lattice, cfg.cutoff),
-                          solenoidal=True)
-            for e_k in np.eye(system.n_wiener)]
-
-
 def initial_state(u0: SpectralField, cfg: StepperConfig, t0: float = 0.0) -> SimState:
     """Project u0 onto the Galerkin ball and open the budget accounting.
 
@@ -542,44 +494,3 @@ def _record(series: dict, row: int, stack: PathStack) -> None:
                   budget_int=stack.budget_int, h2_int=stack.h2_int)
     for key in _SERIES_KEYS:
         series[key][row] = values[key]
-
-
-# ---------------------------------------------------------------------------
-# exact linear oracle and the coupled-pair stopping monitor
-
-def linear_exact(u0: SpectralField, xi, nu: float, w_value: float,
-                 t: float) -> SpectralField:
-    """Closed form for the linear system (no convection, g = 0, one constant xi).
-
-    Mode-wise u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t); the modulus
-    decays like the heat semigroup on every path.
-    """
-    lat = u0.lattice
-    (theta,), _ = nonlinear.transport_multipliers(lat, [xi])
-    factor = np.exp(-nu * lat.ksq.astype(np.float64) * t - 1j * theta * w_value)
-    return u0.with_coeffs(np.where(lat.active, u0.coeffs * factor, 0.0))
-
-
-def tau_r_reached(h2_int_n: float, h2_int_ref: float, r_threshold: float) -> bool:
-    """The paired stopping rule: the H^2 integrals of u_N and u_ref reach R."""
-    return h2_int_n + h2_int_ref >= r_threshold
-
-
-def monitor_tau_R(traj_n: Trajectory, traj_ref: Trajectory, r_threshold: float) -> float:
-    """First time the paired H^2 integral reaches R, else the common horizon.
-
-    Both trajectories must share the time grid (and, for the coupling to mean
-    anything, the Brownian path). Reads the `h2_int` series that `_advance`
-    accumulates (left-endpoint quadrature), so the stop is resolved to step
-    boundaries; doubling R never decreases the result.
-    """
-    t_n, t_ref = traj_n.times, traj_ref.times
-    if t_n.shape != t_ref.shape or not np.allclose(t_n, t_ref, rtol=0, atol=1e-12):
-        raise ValueError("trajectories do not share a time grid")
-    if r_threshold < 0:
-        raise ValueError("R must be >= 0")
-    for t, h2_n, h2_ref in zip(t_n[1:], traj_n.series["h2_int"][1:],
-                               traj_ref.series["h2_int"][1:]):
-        if tau_r_reached(h2_n, h2_ref, r_threshold):
-            return float(t)
-    return float(t_n[-1])

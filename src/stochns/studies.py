@@ -29,7 +29,7 @@ from .fields import (GevreyWeight, galerkin_complement, galerkin_project, inner_
 from .noise import (validate_commutativity, validate_growth_lipschitz,
                     validate_orthogonality, validate_system)
 from .sde import (PathStack, Trajectory, _Stepper, _advance, dt_stability,
-                  initial_state, integrate_paths, step, tau_r_reached)
+                  initial_state, integrate_paths, step)
 
 
 # bytes one chunk of an ensemble may hold: its paths' stacked (dim, n_ball)
@@ -171,9 +171,9 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     (`config.cutoff_lattice`), where its quadratic products are just as
     exact. Per path and cutoff the squared H^1 error is taken at
     t_end ^ tau_R, where tau_R is the first step boundary at which the
-    paired H^2 integral reaches R (`sde.tau_r_reached`, the rule
-    `sde.monitor_tau_R` applies): the stepper's `h1_sq` of the packed
-    reference rows less u_N on its rows (`fields.inner_ball`).
+    paired H^2 integral reaches R, h2_int(u_N) + h2_int(u_ref) >= R: the
+    stepper's `h1_sq` of the packed reference rows less u_N on its rows
+    (`fields.inner_ball`).
     """
     lattice, system, u0 = prepare(config)
     cutoffs = sorted(config["galerkin.cutoffs"])
@@ -215,7 +215,7 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
                 # the error is taken at tau_R, or at t_end when tau_R never comes
                 take = pending[n] & ref.live
                 if i < n_steps:
-                    take &= tau_r_reached(stacks[n].h2_int, ref.h2_int, r_threshold)
+                    take &= stacks[n].h2_int + ref.h2_int >= r_threshold
                 if take.any():
                     diff = ref.c[take]
                     diff[..., rows[n]] -= stacks[n].c[take]

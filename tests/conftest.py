@@ -54,6 +54,23 @@ def rough_field(lattice, seed=0, beta=1.5):
     return dealias(random_field(lattice, rng, envelope=lambda k: k ** -beta))
 
 
+def exponential_shell_field(lattice, delta, prefactor_power=-1.0, seed=0):
+    """Solenoidal field with per-shell amplitude kappa^p exp(-delta kappa).
+
+    Amplitudes are constant on each shell (they depend on kappa = round|k|,
+    not |k|), so fit_radius recovers delta exactly up to rounding.
+    """
+    rng = np.random.default_rng(seed)
+    f = random_field(lattice, rng, solenoidal=True)
+    mod = np.sqrt(np.sum(f.coeffs.real**2 + f.coeffs.imag**2, axis=0))
+    kappa = lattice.kappa.astype(np.float64)
+    act = lattice.active & (mod > 0)
+    target = np.zeros(lattice.shape)
+    target[act] = np.power(kappa[act], prefactor_power) * np.exp(-delta * kappa[act])
+    scale = np.where(act, target / np.where(act, mod, 1.0), 0.0)
+    return f.with_coeffs(f.coeffs * scale, solenoidal=True)
+
+
 def transport_system(vectors, g_coeffs=()):
     """Validated NoiseSystem with constant transport vectors and optional linear g."""
     n_g = len(g_coeffs)

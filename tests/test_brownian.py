@@ -100,12 +100,6 @@ def test_blocks_extend_consistently():
     assert np.array_equal(few, many[:50])
 
 
-def test_wiener_values_cumulative():
-    block = increments(PathSpec(29, 0, 2), 0.0, 0.1, 25)
-    w = block.wiener_values()
-    np.testing.assert_allclose(w[-1], block.increments.sum(axis=0), rtol=1e-15)
-
-
 def test_paths_drawn_together_match_single_draws():
     specs = [PathSpec(master_seed=5, path_index=i, n_processes=3) for i in (0, 7, 2)]
     together = increments_paths(specs, 0.2, 0.01, 40)

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import full_spectrum, smooth_field
+from conftest import exponential_shell_field, full_spectrum, smooth_field
 from stochns.diagnostics import (FitRefusedError, check_cancellation,
                                  check_convective_bounds, ensemble_mean,
-                                 exponential_shell_field, fit_exp_rate,
-                                 fit_radius, galerkin_error, shell_spectrum)
-from stochns.fields import (GevreyWeight, galerkin_project, gevrey_apply,
-                            random_field, single_mode_field,
-                            galerkin_complement, sobolev_norm)
+                                 fit_exp_rate, fit_radius, shell_spectrum)
+from stochns.fields import (GevreyWeight, galerkin_complement, gevrey_apply,
+                            random_field, single_mode_field, sobolev_norm)
 from stochns.lattice import build_lattice
 
 
@@ -81,31 +79,7 @@ def test_fit_radius_excludes_dealias_boundary(lat32):
 
 
 # ---------------------------------------------------------------------------
-# Galerkin error split
-
-def test_galerkin_error_pythagoras(lat32):
-    rng = np.random.default_rng(3)
-    u_ref = random_field(lat32, rng, envelope=lambda k: k ** -2.0)
-    u_n = galerkin_project(random_field(lat32, rng, envelope=lambda k: k ** -2.0), 7)
-    ge = galerkin_error(u_ref, u_n, 7)
-    assert abs(ge.total ** 2 - ge.tail ** 2 - ge.resolved ** 2) <= 1e-12 * ge.total ** 2
-
-
-def test_galerkin_error_truncation_cases(lat32):
-    u_ref = smooth_field(lat32, seed=4)
-    ge = galerkin_error(u_ref, galerkin_project(u_ref, 6), 6)
-    assert ge.resolved == 0.0 and abs(ge.total - ge.tail) <= 1e-14
-
-    inside = galerkin_project(u_ref, 5)
-    ge2 = galerkin_error(inside, galerkin_project(inside, 6), 6)
-    assert ge2.tail == 0.0
-
-
-def test_galerkin_error_rejects_unsupported_un(lat32):
-    u_ref = smooth_field(lat32, seed=5)
-    with pytest.raises(ValueError):
-        galerkin_error(u_ref, u_ref, 3)
-
+# Galerkin tail
 
 def test_tail_monotone_in_cutoff(lat32):
     u = smooth_field(lat32, seed=6)

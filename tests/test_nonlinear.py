@@ -6,12 +6,12 @@ import pytest
 
 from conftest import full_grid_k, full_spectrum, smooth_field
 from stochns.fields import (GevreyWeight, LatticeMismatchError, SpectralField,
-                            galerkin_project, l2_inner, pack_ball, random_field,
+                            galerkin_project, pack_ball, random_field,
                             single_mode_field, sobolev_norm, sobolev_norm_sq,
                             unpack_ball, validate_physical, weighted_inner, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.nonlinear import (_leray, convect, convect_plan, dealias, from_physical,
-                               ito_corrector, to_physical, transport)
+                               to_physical, transport, transport_multipliers)
 
 
 def shear_field(lattice):
@@ -74,13 +74,13 @@ def test_convect_shear_is_self_cancelling(lat32):
 def test_energy_orthogonality_2d(grid):
     lat = build_lattice(2, grid)
     u = smooth_field(lat, seed=grid)
-    ip = l2_inner(convect(u, u), u)
+    ip = weighted_inner(convect(u, u), u)
     assert abs(ip) <= 1e-11 * sobolev_norm_sq(u, 1.0)
 
 
 def test_energy_orthogonality_3d(lat3d):
     u = smooth_field(lat3d, seed=4, delta=0.5)
-    ip = l2_inner(convect(u, u), u)
+    ip = weighted_inner(convect(u, u), u)
     assert abs(ip) <= 1e-11 * sobolev_norm_sq(u, 1.0)
 
 
@@ -194,6 +194,24 @@ def test_pruned_convect_matches_unpruned_transforms(dim, grid, cutoff, same):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+@pytest.mark.parametrize("same", [True, False], ids=["u-is-v", "u-not-v"])
+def test_convect_commutes_with_translation(dim, grid, cutoff, same):
+    # u(x - a) has coefficients exp(-i a.k) u_hat(k), and convection commutes
+    # with the shift for any a, also one that is no multiple of the grid step
+    lat = build_lattice(dim, grid)
+    plan = convect_plan(lat, cutoff)
+    (phase,), _ = transport_multipliers(lat, [np.array([0.37, -1.21, 0.83][:dim])])
+    shift = np.exp(-1j * phase[lat.ball_mask(cutoff)])
+    cu = pack_ball(ball_field(lat, cutoff, seed=23).coeffs, lat, cutoff)
+    cv = cu if same else pack_ball(ball_field(lat, cutoff, seed=24).coeffs, lat, cutoff)
+    su = shift * cu
+    sv = su if same else shift * cv
+    ref = shift * convect(cu, cv, plan)
+    assert np.abs(ref).max() > 0.0
+    assert np.abs(convect(su, sv, plan) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_ball_modes_outside_dealias_mask_get_no_convection():
     # grid == 3 N: the ball's axis modes |k_i| = N fail the 2/3 mask
     lat = build_lattice(3, 48)
@@ -305,32 +323,32 @@ def test_transport_preserves_solenoidal(lat32):
 
 
 # ---------------------------------------------------------------------------
-# Ito corrector
+# Ito corrector: the multiplier -1/2 sum_k (xi_k . k)^2 of transport_multipliers
 
 def test_corrector_single_mode(lat16):
-    f = single_mode_field(lat16, (2, 0), (0.0, 1.0))
-    out = ito_corrector([np.array([1.0, 0.0])], f)
-    np.testing.assert_allclose(out.coeffs[:, 2, 0], -2.0 * f.coeffs[:, 2, 0], rtol=1e-14)
+    _, once = transport_multipliers(lat16, [np.array([1.0, 0.0])])
+    assert once[2, 0] == -2.0
     # the multiplier is a sum over the family: a repeated vector doubles it
-    twice = ito_corrector([np.array([1.0, 0.0])] * 2, f)
-    np.testing.assert_allclose(twice.coeffs[:, 2, 0], 2 * out.coeffs[:, 2, 0], rtol=1e-14)
+    _, twice = transport_multipliers(lat16, [np.array([1.0, 0.0])] * 2)
+    np.testing.assert_array_equal(twice, 2 * once)
 
 
 def test_corrector_perpendicular_family(lat16):
     f = single_mode_field(lat16, (3, 0), (0.0, 1.0))
-    out = ito_corrector([np.array([0.0, 0.5]), np.array([0.0, -1.0])], f)
-    assert np.abs(out.coeffs).max() == 0.0
+    _, corrector = transport_multipliers(lat16, [np.array([0.0, 0.5]), np.array([0.0, -1.0])])
+    assert np.abs(corrector * f.coeffs).max() == 0.0
 
 
 def test_corrector_empty_family(lat16):
-    f = smooth_field(lat16, seed=11)
-    assert np.abs(ito_corrector([], f).coeffs).max() == 0.0
+    phases, corrector = transport_multipliers(lat16, [])
+    assert phases == [] and corrector.shape == lat16.shape and not corrector.any()
 
 
 def test_corrector_is_dissipative(lat32):
     u = smooth_field(lat32, seed=12)
-    out = ito_corrector([np.array([0.8, 0.1]), np.array([-0.2, 0.5])], u)
-    assert l2_inner(out, u) <= 0.0
+    _, corrector = transport_multipliers(lat32, [np.array([0.8, 0.1]), np.array([-0.2, 0.5])])
+    assert corrector.max() <= 0.0
+    assert weighted_inner(u.with_coeffs(corrector * u.coeffs), u) <= 0.0
 
 
 @pytest.mark.parametrize("r,phi", [(0.0, 0.0), (0.5, 0.1), (1.0, 0.1)])

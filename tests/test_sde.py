@@ -17,10 +17,9 @@ from stochns.fields import (galerkin_complement, pack_ball, random_h1_field,
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
-from stochns.sde import (NonFiniteError, PathStack, SimState, StepperConfig, _Stepper,
-                         _advance, diffusion, drift,
-                         dt_stability, initial_state, integrate,
-                         linear_exact, monitor_tau_R, step)
+from stochns.nonlinear import transport_multipliers
+from stochns.sde import (NonFiniteError, PathStack, SimState, StepperConfig, Trajectory,
+                         _Stepper, _advance, dt_stability, initial_state, integrate, step)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
 
 
@@ -41,64 +40,80 @@ def xi_system():
 
 
 # ---------------------------------------------------------------------------
-# drift / diffusion operators
+# the drift and the diffusion fields, read off one step
 
-def test_drift_zero_field(lat32, off_system):
-    out = drift(zero_field(lat32), make_cfg(), off_system)
-    assert np.abs(out.coeffs).max() == 0.0
+def _ball(u, cutoff=8):
+    return pack_ball(u.coeffs, u.lattice, cutoff)
+
+
+def _diffusion_field(stepper, c, k):
+    """advance(c, e_k) - advance(c, 0): with convection off, the decay times
+    the diffusion field P^N P[g_k(u) - (xi_k.grad)u] of Wiener index k."""
+    e_k = np.eye(stepper.system.n_wiener)[k]
+    return stepper.advance(c, e_k) - stepper.advance(c, 0.0 * e_k)
+
+
+def test_drift_zero_field(lat32, xi_system):
+    # convection and transport on: a zero field stays exactly zero
+    stepper = _Stepper(make_cfg(), xi_system, lat32)
+    assert not np.any(stepper.advance(_ball(zero_field(lat32)), np.array([0.03])))
 
 
 def test_drift_shear_is_pure_stokes(lat32, off_system):
-    u = shear_field(lat32)
-    out = drift(u, make_cfg(nu=0.07), off_system)
-    expected = -0.07 * 1.0 * u.coeffs  # -nu |k|^2 u_hat at |k| = 1
-    assert np.abs(out.coeffs - expected).max() <= 1e-13
+    # convection on: the shear does not advect itself, so the step is the
+    # Stokes decay exp(-nu |k|^2 dt) at |k| = 1
+    c = _ball(shear_field(lat32))
+    out = _Stepper(make_cfg(nu=0.07), off_system, lat32).advance(c, np.zeros(0))
+    assert np.abs(out - math.exp(-0.07 * 1e-3) * c).max() <= 1e-13 * np.abs(c).max()
 
 
 def test_drift_corrector_contribution(lat32):
     system = transport_system([np.array([1.0, 0.0])])
+    cfg = make_cfg(nu=0.05, convection=False)
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
-    cfg = make_cfg(nu=0.05)
-    out = drift(u, cfg, system)
-    # -nu |k|^2 u - (1/2)(xi.k)^2 u = (-0.05*4 - 2) u at k=(2,0)
-    expected = (-0.05 * 4.0 - 2.0) * u.coeffs[:, 2, 0]
-    np.testing.assert_allclose(out.coeffs[:, 2, 0], expected, rtol=1e-13)
+    out = unpack_ball(_Stepper(cfg, system, lat32).advance(_ball(u), np.zeros(1)), lat32, 8)
+    # exp(-nu |k|^2 dt) (1 + dt (-1/2)(xi.k)^2) u = exp(-0.05*4 dt) (1 - 2 dt) u at k=(2,0)
+    expected = math.exp(-0.05 * 4.0 * cfg.dt) * (1.0 - 2.0 * cfg.dt) * u.coeffs[:, 2, 0]
+    np.testing.assert_allclose(out[:, 2, 0], expected, rtol=1e-14)
 
 
 def test_diffusion_zero_system(lat32, off_system):
-    u = smooth_field(lat32, seed=1)
-    assert diffusion(u, make_cfg(), off_system) == []
+    # no noise: the step of an empty system is the decay alone, bit for bit
+    stepper = _Stepper(make_cfg(convection=False), off_system, lat32)
+    c = _ball(smooth_field(lat32, seed=1))
+    assert stepper.advance(c, np.zeros(0)).tobytes() == (stepper.decay * c).tobytes()
+
+
+def _additive_field(sigma, lat, cutoff, u):
+    """The diffusion field of an additive system with the one field sigma,
+    read off a stepper on lat."""
+    system = validate_system(NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
+                                         xi=TransportNoise.empty(), n_wiener=1))
+    stepper = _Stepper(make_cfg(cutoff=cutoff, convection=False), system, lat)
+    return stepper, _diffusion_field(stepper, _ball(u, cutoff), 0)
 
 
 def test_diffusion_additive_fields(lat32):
     sigma = solenoidal_mode_field(lat32, (1, 0), 0.3)
-    system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
-                         xi=TransportNoise.empty(), n_wiener=1)
-    system = validate_system(system)
-    u = smooth_field(lat32, seed=2)
-    outs = diffusion(u, make_cfg(), system)
-    assert len(outs) == 1
-    expected = np.where(lat32.ball_mask(8), sigma.coeffs, 0.0)
-    np.testing.assert_allclose(outs[0].coeffs, expected, atol=1e-15)
+    stepper, out = _additive_field(sigma, lat32, 8, smooth_field(lat32, seed=2))
+    np.testing.assert_allclose(out, stepper.decay * _ball(sigma), atol=1e-15)
 
 
 def test_additive_sigma_carried_onto_stepper_lattice(lat16, lat32):
     sigma = solenoidal_mode_field(lat32, (2, 1), 0.3)
-    system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
-                         xi=TransportNoise.empty(), n_wiener=1)
-    system = validate_system(system)
-    outs = diffusion(smooth_field(lat16, seed=2), make_cfg(cutoff=4), system)
-    expected = np.where(lat16.ball_mask(4),
-                        solenoidal_mode_field(lat16, (2, 1), 0.3).coeffs, 0.0)
-    np.testing.assert_allclose(outs[0].coeffs, expected, atol=1e-15)
+    stepper, out = _additive_field(sigma, lat16, 4, smooth_field(lat16, seed=2))
+    expected = _ball(solenoidal_mode_field(lat16, (2, 1), 0.3), 4)
+    assert np.abs(expected).max() > 0.0
+    np.testing.assert_allclose(out, stepper.decay * expected, atol=1e-15)
 
 
 def test_diffusion_transport_multiplier(lat32, xi_system):
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
-    outs = diffusion(u, make_cfg(), xi_system)
-    # entry k: -i (xi.k) u_hat = -1.6j u_hat at k=(2,0), xi=(0.8,0)
-    np.testing.assert_allclose(outs[0].coeffs[:, 2, 0], -1.6j * u.coeffs[:, 2, 0],
-                               rtol=1e-14)
+    stepper = _Stepper(make_cfg(convection=False), xi_system, lat32)
+    out = unpack_ball(_diffusion_field(stepper, _ball(u), 0), lat32, 8)
+    # entry k: -i (xi.k) u_hat = -1.6j u_hat at k=(2,0), xi=(0.8,0), decayed
+    expected = -1.6j * math.exp(-0.05 * 4.0 * 1e-3) * u.coeffs[:, 2, 0]
+    np.testing.assert_allclose(out[:, 2, 0], expected, rtol=1e-14)
 
 
 def _additive_xi_system(lat):
@@ -115,50 +130,24 @@ def _additive_xi_system(lat):
 
 @pytest.mark.parametrize("g_kind", ["linear", "additive"])
 def test_diffusion_sums_to_the_stepper_noise_sum(lat32, g_kind):
+    # the step is affine in its increment row: its noise is the sum of the
+    # diffusion fields weighted by dW
     if g_kind == "linear":
         system = transport_system([np.array([0.8, 0.1]), np.array([-0.3, 0.5])],
                                   g_coeffs=[0.2, -0.1])
     else:
         system = _additive_xi_system(lat32)
-    cfg = make_cfg()
-    u = smooth_field(lat32, seed=21)
+    stepper = _Stepper(make_cfg(convection=False), system, lat32)
+    c = _ball(smooth_field(lat32, seed=21))
     dw = 0.03 * np.random.default_rng(5).standard_normal(system.n_wiener)
-    stepper = _Stepper(cfg, system, lat32)
-    c = pack_ball(u.coeffs, lat32, cfg.cutoff)
-    expected = unpack_ball(stepper.noise_sum(c, dw), lat32, cfg.cutoff)
-    total = sum(dw[k] * f.coeffs for k, f in enumerate(diffusion(u, cfg, system)))
-    assert np.abs(expected).max() > 0.0
-    assert np.abs(total - expected).max() <= 1e-14 * np.abs(expected).max()
+    noise = stepper.advance(c, dw) - stepper.advance(c, 0.0 * dw)
+    total = sum(dw[k] * _diffusion_field(stepper, c, k) for k in range(system.n_wiener))
+    assert np.abs(noise).max() > 0.0
+    assert np.abs(total - noise).max() <= 1e-14 * np.abs(noise).max()
 
 
 # ---------------------------------------------------------------------------
 # batched stepping on the packed ball
-
-def _noise_sum_reference(stepper, c, dw_row):
-    """The single-path noise sum as a plain loop: a zero increment adds no
-    term, and a path without terms gets zeros."""
-    sys_ = stepper.system
-    diag_im = acc = None
-    lin = 0.0
-    for phase, k_index in zip(stepper.xi_phase, sys_.xi.index_set):
-        dw = float(dw_row[k_index])
-        if dw != 0.0:
-            diag_im = (-dw) * phase if diag_im is None else diag_im - dw * phase
-    if sys_.g.variant == "linear":
-        for pos, k_index in enumerate(sys_.g.index_set):
-            lin += float(dw_row[k_index]) * sys_.g.coefficients[pos]
-    elif sys_.g.variant == "additive":
-        for pos, k_index in enumerate(sys_.g.index_set):
-            dw = float(dw_row[k_index])
-            if dw != 0.0:
-                contrib = dw * stepper.additive_hat[pos]
-                acc = contrib if acc is None else acc + contrib
-    term = (c * (lin + 1j * diag_im) if diag_im is not None
-            else c * lin if lin != 0.0 else None)
-    if term is None:
-        return np.zeros_like(c) if acc is None else acc
-    return term if acc is None else term + acc
-
 
 def _batch_system(lat, g_kind):
     if g_kind == "additive":
@@ -198,10 +187,10 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
     batch = _stack(stepper, lat, c, t=0.2)
     assert _advance(batch, stepper, dw) == []
     assert batch.c.tobytes() == c_new.tobytes()
+    noise = stepper.noise_sum(dw, stepper.xi_decay)
     for p in range(4):
-        noise = stepper.noise_sum(c[p], dw[p])
-        assert noise.tobytes() == stepper.noise_sum(c, dw)[p].tobytes()
-        assert noise.tobytes() == _noise_sum_reference(stepper, c[p], dw[p]).tobytes()
+        for part, alone in zip(noise, stepper.noise_sum(dw[p], stepper.xi_decay)):
+            assert part[p].tobytes() == alone.tobytes()
         assert c_new[p].tobytes() == stepper.advance(c[p], dw[p]).tobytes()
         alone = _stack(stepper, lat, c[p:p + 1], t=0.2)
         assert _advance(alone, stepper, dw[p:p + 1]) == []
@@ -250,6 +239,25 @@ def _step_reference(stepper, c, dw):
     return out
 
 
+def _noise_reference(system, lat, cutoff, c, dw):
+    """sum_k diffusion_k(u) dW_k per path, term by term: dW_k c_k u for a
+    linear g, dW_k sigma_k on the ball for an additive one, and
+    -i dW_k (xi_k . k) u."""
+    ball = lat.ball_mask(cutoff)
+    phases, _ = transport_multipliers(lat, system.xi.vectors)
+    out = np.zeros_like(c)
+    for p in range(len(c)):
+        for phase, k in zip(phases, system.xi.index_set):
+            out[p] += dw[p, k] * (-1j * phase[ball]) * c[p]
+        if system.g.variant == "linear":
+            for coeff, k in zip(system.g.coefficients, system.g.index_set):
+                out[p] += dw[p, k] * coeff * c[p]
+        if system.g.variant == "additive":
+            for sigma, k in zip(system.g.sigmas, system.g.index_set):
+                out[p] += dw[p, k] * pack_ball(transfer(sigma, lat).coeffs, lat, cutoff)
+    return out
+
+
 def _scheme_cases(dim, grid, cutoff, g_kind, n_paths):
     """Stacked starts and increments, with one row without any increment."""
     lat = build_lattice(dim, grid)
@@ -293,9 +301,10 @@ def test_advance_matches_the_bracket_form(dim, grid, cutoff, g_kind, convection,
     for phi in (0.0, 0.2):
         stepper = _Stepper(make_cfg(cutoff=cutoff, convection=convection, phi_cap=phi),
                            system, lat)
-        drift_part = stepper.corrector_mult * c + stepper.explicit_drift(c)
+        _, corrector = transport_multipliers(lat, system.xi.vectors)
+        drift_part = corrector[lat.ball_mask(cutoff)] * c + stepper.explicit_drift(c)
         bracket = stepper.decay * (c + stepper.cfg.dt * drift_part
-                                   + stepper.noise_sum(c, dw))
+                                   + _noise_reference(system, lat, cutoff, c, dw))
         c_new = stepper.advance(c, dw)
         for p in range(n_paths):
             assert np.abs(c_new[p] - bracket[p]).max() <= 1e-13 * np.abs(bracket[p]).max()
@@ -584,29 +593,52 @@ def test_stability_rule_warns(lat32, xi_system):
 # ---------------------------------------------------------------------------
 # linear oracle
 
+def _linear_exact(u0, xi, nu, w_value, t):
+    """Closed form of the linear system (no convection, g = 0, one constant
+    xi): u_hat(t) = u_hat(0) exp(-nu |k|^2 t - i (xi.k) W_t) per mode."""
+    lat = u0.lattice
+    (theta,), _ = transport_multipliers(lat, [xi])
+    factor = np.exp(-nu * lat.ksq.astype(np.float64) * t - 1j * theta * w_value)
+    return u0.with_coeffs(np.where(lat.active, u0.coeffs * factor, 0.0))
+
+
 def test_linear_exact_perpendicular_is_heat(lat32):
     u0 = single_mode_field(lat32, (2, 0), (0.0, 1.0))
-    out = linear_exact(u0, np.array([0.0, 1.0]), 0.1, 5.0, 0.7)
+    out = _linear_exact(u0, np.array([0.0, 1.0]), 0.1, 5.0, 0.7)
     np.testing.assert_allclose(out.coeffs[:, 2, 0],
                                u0.coeffs[:, 2, 0] * math.exp(-0.1 * 4 * 0.7), rtol=1e-14)
 
 
 def test_linear_exact_zero_path_is_heat(lat32):
     u0 = smooth_field(lat32, seed=14)
-    out = linear_exact(u0, np.array([0.8, 0.0]), 0.1, 0.0, 0.5)
+    out = _linear_exact(u0, np.array([0.8, 0.0]), 0.1, 0.0, 0.5)
     heat = u0.coeffs * np.exp(-0.1 * lat32.ksq * 0.5)
     np.testing.assert_allclose(out.coeffs, np.where(lat32.active, heat, 0.0), atol=1e-15)
 
 
 def test_linear_exact_modulus_path_independent(lat32):
     u0 = smooth_field(lat32, seed=15)
-    a = linear_exact(u0, np.array([0.8, 0.0]), 0.1, 2.3, 0.5)
-    b = linear_exact(u0, np.array([0.8, 0.0]), 0.1, -7.7, 0.5)
+    a = _linear_exact(u0, np.array([0.8, 0.0]), 0.1, 2.3, 0.5)
+    b = _linear_exact(u0, np.array([0.8, 0.0]), 0.1, -7.7, 0.5)
     np.testing.assert_allclose(np.abs(a.coeffs), np.abs(b.coeffs), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # paired stopping monitor
+
+def _monitor_tau_R(traj_n: Trajectory, traj_ref: Trajectory, r_threshold: float) -> float:
+    """First time the paired H^2 integral h2_n + h2_ref reaches R, else the
+    common horizon: the stop rule of two trajectories on one time grid, read
+    from their `h2_int` series (left-endpoint quadrature, step boundaries)."""
+    t_n, t_ref = traj_n.times, traj_ref.times
+    if t_n.shape != t_ref.shape or not np.allclose(t_n, t_ref, rtol=0, atol=1e-12):
+        raise ValueError("trajectories do not share a time grid")
+    for t, h2_n, h2_ref in zip(t_n[1:], traj_n.series["h2_int"][1:],
+                               traj_ref.series["h2_int"][1:]):
+        if h2_n + h2_ref >= r_threshold:
+            return float(t)
+    return float(t_n[-1])
+
 
 def _pair(lat32, xi_system, r_threshold):
     cfg_n = make_cfg(cutoff=4, t_end=0.03, h2_r=1e12)
@@ -615,7 +647,7 @@ def _pair(lat32, xi_system, r_threshold):
     path = PathSpec(6, 0, 1)
     tn = integrate(cfg_n, xi_system, path, u0, store_every=10 ** 9)
     tr = integrate(cfg_ref, xi_system, path, u0, store_every=10 ** 9)
-    return monitor_tau_R(tn, tr, r_threshold)
+    return _monitor_tau_R(tn, tr, r_threshold)
 
 
 def test_monitor_tau_r_edges(lat32, xi_system):
@@ -635,7 +667,7 @@ def test_monitor_tau_r_grid_mismatch(lat32, xi_system):
     ta = integrate(cfg_a, xi_system, PathSpec(6, 0, 1), u0)
     tb = integrate(cfg_b, xi_system, PathSpec(6, 0, 1), u0)
     with pytest.raises(ValueError, match="time grid"):
-        monitor_tau_R(ta, tb, 1.0)
+        _monitor_tau_R(ta, tb, 1.0)
 
 
 def test_monitor_tau_r_is_decay_study_rule():
@@ -661,7 +693,7 @@ def test_monitor_tau_r_is_decay_study_rule():
         outcome = studies.decay_study(
             config.with_overrides({"monitors": {"h2_r": r_threshold}})).outcomes[0]
         for n, traj in trajs.items():
-            assert monitor_tau_R(traj, ref, r_threshold) == outcome.stop_times[n]
+            assert _monitor_tau_R(traj, ref, r_threshold) == outcome.stop_times[n]
         if r_threshold == r_mid:
             assert outcome.stop_times[4] == ref.times[mid]
         else:
@@ -731,6 +763,17 @@ def test_large_phi_cap_budget_stays_finite():
     assert result.trajectory.final.stop_for("budget") is not None
 
 
+def test_stepper_refuses_gevrey_weight_beyond_double_range(off_system):
+    # 40 * 16 = 640 is within exp_guard 650, but the squared Gevrey-H^2 weight
+    # exp(2 * 640 + 4 ln 16) is not a double: config.validate's rule
+    cfg = StepperConfig(nu=0.05, dt=0.5, t_end=30, cutoff=16, phi_cap=40, convection=False)
+    with pytest.raises(ValueError, match="double range"):
+        _Stepper(cfg, off_system, build_lattice(2, 50))
+    with pytest.raises(ValueError, match="exp_guard"):
+        _Stepper(dataclasses.replace(cfg, phi_cap=41), off_system, build_lattice(2, 50))
+    _Stepper(dataclasses.replace(cfg, phi_cap=21), off_system, build_lattice(2, 50))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_observable_raises(lat32, off_system):
     # finite coefficients whose squared modulus overflows; convection off, so
@@ -776,7 +819,7 @@ def _oracle_reference(config):
             traj = integrate(cfg, system, path, u0, store_every=10**9, driving=block,
                              check_stability=False)
             start, final = traj.states[0].u, traj.final.c
-            exact, heat = (linear_exact(start, xi, nu, w, t_end)
+            exact, heat = (_linear_exact(start, xi, nu, w, t_end)
                            for w in (float(block.increments[:, 0].sum()), 0.0))
             diff = final - pack_ball(exact.coeffs, lattice, cfg.cutoff)
             stepper = _Stepper(cfg, system, lattice)
