@@ -26,6 +26,6 @@ from .noise import (MultiplicativeNoise, NoiseSystem, TransportNoise, eval_g,
                     validate_orthogonality, validate_system)
 from .nonlinear import convect, dealias, transport
 from .sde import (NonFiniteError, SimState, StepperConfig, StopRecord,
-                  Trajectory, initial_state, integrate, step)
+                  Trajectory, initial_state, integrate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

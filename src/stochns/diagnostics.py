@@ -1,6 +1,9 @@
 """Shell spectra, analyticity-radius fits, ensemble means, and the
 empirical checks behind the structural estimates.
 
+A shell spectrum is read off a packed Galerkin ball, the `SimState.c`
+layout, so its shells are kappa = 1..N.
+
 The radius fit follows the coefficient bound |u_hat[k]|^2 <= C |k|^-2
 exp(-2 delta |k|): fitting log(kappa * max-modulus) against kappa removes the
 power-law prefactor so -slope estimates delta directly. Shells within 10% of
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nonlinear
-from .fields import (GevreyWeight, SpectralField, gevrey_apply, parseval_weight,
-                     random_field, require_same_lattice, sobolev_norm,
+from .fields import (GevreyWeight, SpectralField, ball_mod_sq, gevrey_apply,
+                     parseval_weight, random_field, require_same_lattice, sobolev_norm,
                      transfer, weighted_inner)
 from .lattice import WaveLattice, get_lattice
 
@@ -28,10 +31,10 @@ class FitRefusedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShellSpectrum:
-    """Per-shell maxima and energies of a spectral field at one time."""
+    """Per-shell maxima and energies of a Galerkin state at one time."""
 
     t: float
-    kappa: np.ndarray        # shell indices, ascending, empty shells omitted
+    kappa: np.ndarray        # shell indices 1..N, ascending
     max_modulus: np.ndarray  # max |u_hat[k]| over the shell
     energy: np.ndarray       # sum |u_hat[k]|^2 over the shell
     dealias_kappa: int       # per-axis dealias limit of the source lattice
@@ -55,23 +58,20 @@ class FitResult:
         return -self.slope
 
 
-def shell_spectrum(u: SpectralField, t: float = 0.0) -> ShellSpectrum:
-    """Max modulus and l2 energy per wavenumber shell kappa = round(|k|)."""
-    lat = u.lattice
-    mod_sq = np.sum(u.coeffs.real**2 + u.coeffs.imag**2, axis=0).ravel()
-    kappa_all = lat.kappa.ravel()
-    nonzero = lat.ksq.ravel() > 0
-    kmax = int(kappa_all[nonzero].max())
-    counts = np.bincount(kappa_all[nonzero], minlength=kmax + 1)
-    mode_energy = parseval_weight(lat, 0.0).ravel() * mod_sq
-    energy = np.bincount(kappa_all[nonzero], weights=mode_energy[nonzero], minlength=kmax + 1)
-    peak = np.zeros(kmax + 1)
-    np.maximum.at(peak, kappa_all[nonzero], mod_sq[nonzero])
-    present = np.flatnonzero(counts[1:]) + 1
-    return ShellSpectrum(t=t, kappa=present.astype(np.int64),
-                         max_modulus=np.sqrt(peak[present]),
-                         energy=energy[present],
-                         dealias_kappa=lat.dealias_limit)
+def shell_spectrum(c: np.ndarray, lattice: WaveLattice, cutoff: int,
+                   t: float = 0.0) -> ShellSpectrum:
+    """Max modulus and l2 energy per wavenumber shell kappa = round(|k|) of
+    the packed Galerkin ball c, shape (dim, n_ball), of `cutoff` on `lattice`."""
+    ball = lattice.ball_mask(cutoff)
+    mod_sq = ball_mod_sq(c)
+    kappa = lattice.kappa[ball]
+    counts = np.bincount(kappa)
+    energy = np.bincount(kappa, weights=lattice.multiplicity[ball] * mod_sq)
+    peak = np.zeros(counts.size)
+    np.maximum.at(peak, kappa, mod_sq)
+    present = np.flatnonzero(counts)
+    return ShellSpectrum(t=t, kappa=present, max_modulus=np.sqrt(peak[present]),
+                         energy=energy[present], dealias_kappa=lattice.dealias_limit)
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray, floor: float) -> FitResult:

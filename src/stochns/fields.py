@@ -9,6 +9,8 @@ multipliers are even in k, so they act on the half alone; every Parseval sum
 takes its per-mode weight from `parseval_weight`, which counts each stored
 mode off the k_last = 0 plane twice. Coefficient arrays are frozen at
 construction; operations return new fields.
+`pack_ball` cuts the Galerkin ball |k| <= N out of a half spectrum into the
+packed (dim, n_ball) rows that all Galerkin data takes from then on.
 """
 
 from __future__ import annotations
@@ -156,11 +158,15 @@ def pack_ball(coeffs: np.ndarray, lattice: WaveLattice, cutoff: int) -> np.ndarr
     return coeffs[..., lattice.ball_mask(cutoff)]
 
 
-def unpack_ball(c: np.ndarray, lattice: WaveLattice, cutoff: int) -> np.ndarray:
-    """Half-spectrum coefficients holding the packed ball c and zero elsewhere."""
-    out = np.zeros(c.shape[:-1] + lattice.shape, dtype=np.complex128)
-    out[..., lattice.ball_mask(cutoff)] = c
-    return out
+def ball_mod_sq(c: np.ndarray) -> np.ndarray:
+    """Per-mode squared modulus |c|^2 of packed (..., dim, n_ball) balls,
+    summed over the components in np.sum(axis=-2)'s order, without its cost."""
+    sq = c.real**2
+    sq += c.imag**2
+    mod = sq[..., 0, :] + sq[..., 1, :]
+    for row in range(2, c.shape[-2]):
+        mod += sq[..., row, :]
+    return mod
 
 
 def inner_ball(lattice: WaveLattice, cutoff: int, inner: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Time integration of the Galerkin-truncated stochastic system.
 
 The state lives on the modes |k| <= N and is stored as that Galerkin ball
-alone: `SimState.c` holds the packed (dim, n_ball) coefficients, which the
-steps read and write as they are, and `SimState.u` unpacks them into a
-half-spectrum field only for snapshot spectra and `invariants`. One step
-of the exponential Euler-Maruyama scheme applies the exact viscous
-semigroup to everything explicit:
+alone: `initial_state` packs the projected start, and from then on
+`SimState.c` holds the packed (dim, n_ball) coefficients, which the steps,
+the norms, the spectra and the snapshots read as they are. One step of the
+exponential Euler-Maruyama scheme applies the exact viscous semigroup to
+everything explicit:
 
     u+ = exp(-nu A dt) [ u + dt (drift(u) + nu A u) + sum_k diffusion_k(u) dW_k ]
 
@@ -31,7 +31,8 @@ writes the failure message, and keeps budgets and stop records per path.
 Budgets (the Gevrey-H^1 sup and the nu-weighted Gevrey-H^2 time integral)
 are accumulated with left-endpoint quadrature and the stopping monitors are
 evaluated at step boundaries; integration continues past a trigger, only
-the record is kept. `integrate` is the one-path case of `integrate_paths`.
+the record is kept. `integrate` is the one-path case of `integrate_paths`,
+the one entry point that steps from a field or a checkpoint.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brownian import IncrementBlock, PathSpec, increments_paths
-from .fields import (GevreyWeight, SpectralField, galerkin_project, gevrey_range_error,
-                     leray_project, pack_ball, parseval_weight, sobolev_norm_sq, transfer,
-                     unpack_ball)
+from .brownian import PathSpec, increments_paths
+from .fields import (GevreyWeight, SpectralField, ball_mod_sq, gevrey_range_error,
+                     leray_project, pack_ball, parseval_weight, transfer)
 from .lattice import WaveLattice
 from .noise import NoiseSystem
 from . import nonlinear
@@ -107,9 +107,9 @@ class SimState:
 
     The state is the packed ball c, a read-only (dim, n_ball) complex array:
     the half-spectrum modes of `lattice.ball_mask(cutoff)` in storage
-    (row-major) order, as `fields.pack_ball` returns them. `u` unpacks it
-    into a SpectralField on demand. Snapshots store c as it is; `load_state`
-    refuses every other layout, the half spectrum and the full grid included.
+    (row-major) order, as `fields.pack_ball` returns them. Snapshots store c
+    as it is; `load_state` refuses every other layout, the half spectrum and
+    the full grid included.
     """
 
     t: float
@@ -125,12 +125,6 @@ class SimState:
 
     def __post_init__(self):
         self.c.flags.writeable = False
-
-    @property
-    def u(self) -> SpectralField:
-        """The state as a solenoidal field on the half spectrum."""
-        return SpectralField(self.lattice, unpack_ball(self.c, self.lattice, self.cutoff),
-                             solenoidal=True)
 
     def stop_for(self, monitor: str) -> StopRecord | None:
         for rec in self.stops:
@@ -281,11 +275,7 @@ class _Stepper:
         The weighted terms of the five norms fill one (5, ..., n_ball) array
         that one sum reduces; at phi = 0 the Gevrey factor is exactly 1.
         """
-        sq = c.real**2
-        sq += c.imag**2
-        mod = sq[..., 0, :] + sq[..., 1, :]   # np.sum(axis=-2)'s order, without its cost
-        for row in range(2, c.shape[-2]):
-            mod += sq[..., row, :]
+        mod = ball_mod_sq(c)
         terms = np.empty((5,) + mod.shape)
         for row, w in zip(terms, self.w_ball):
             np.multiply(w, mod, out=row)
@@ -379,33 +369,22 @@ def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
 # ---------------------------------------------------------------------------
 # public operations
 
-def initial_state(u0: SpectralField, cfg: StepperConfig, t0: float = 0.0) -> SimState:
-    """Project u0 onto the Galerkin ball and open the budget accounting.
+def initial_state(u0: SpectralField, cfg: StepperConfig) -> SimState:
+    """Pack the Leray projection of u0 onto the Galerkin ball and open the
+    budget accounting at t = 0.
 
-    At t=0 the budget sup equals the initial squared H^1 norm exactly since
-    phi(0) = 0.
+    The squared H^1 norm is the ball sum `_Stepper.observables` takes, so the
+    budget sup opens at exactly the h1_sq the stepper reports at t = 0,
+    where phi(0) = 0.
     """
-    u = galerkin_project(leray_project(u0), cfg.cutoff)
-    h1_sq = sobolev_norm_sq(u, 1.0)
+    lattice = u0.lattice
+    c = pack_ball(leray_project(u0).coeffs, lattice, cfg.cutoff)
+    weight = parseval_weight(lattice, 1.0)[lattice.ball_mask(cfg.cutoff)]
+    h1_sq = float(np.sum(weight * ball_mod_sq(c)))
     if cfg.k0 is not None and h1_sq > cfg.k0 * (1.0 + 1e-9):
         raise ValueError(f"||u0^N||_H1^2 = {h1_sq:.6g} exceeds configured K0 = {cfg.k0}")
-    return SimState(t=t0, step=int(round(t0 / cfg.dt)),
-                    c=pack_ball(u.coeffs, u.lattice, cfg.cutoff), lattice=u.lattice,
-                    cutoff=cfg.cutoff, budget_sup=h1_sq, budget_int=0.0, h2_int=0.0,
-                    initial_h1_sq=h1_sq)
-
-
-def step(state: SimState, cfg: StepperConfig, system: NoiseSystem,
-         dw_row: np.ndarray) -> SimState:
-    """One exponential Euler-Maruyama step; budgets and monitors updated."""
-    dw_row = np.asarray(dw_row, dtype=np.float64)
-    if dw_row.shape != (system.n_wiener,):
-        raise ValueError(f"dW row must have length {system.n_wiener}")
-    stepper = _Stepper(cfg, system, state.lattice)
-    stack = PathStack(state, 1, stepper)
-    if _advance(stack, stepper, dw_row[None]):
-        raise NonFiniteError(stack.failed[0])
-    return stack.state(0)
+    return SimState(t=0.0, step=0, c=c, lattice=lattice, cutoff=cfg.cutoff,
+                    budget_sup=h1_sq, budget_int=0.0, h2_int=0.0, initial_h1_sq=h1_sq)
 
 
 _SERIES_KEYS = ("t", *_OBS_KEYS, "budget_sup", "budget_int", "h2_int")
@@ -414,18 +393,15 @@ _SERIES_KEYS = ("t", *_OBS_KEYS, "budget_sup", "budget_int", "h2_int")
 def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
               u0: SpectralField, store_every: int = 1,
               resume: SimState | None = None,
-              driving: IncrementBlock | None = None,
               check_stability: bool = True) -> Trajectory:
     """Integrate one path from u0 (or a checkpoint) to t_end.
 
-    Increments are drawn by absolute step index, so resuming from a
-    checkpoint is bit-compatible with the uninterrupted run. A pre-built
-    (e.g. bridge-refined) IncrementBlock can be supplied via `driving`;
-    otherwise the base stream for `path` is used. NonFinite coefficients
-    abort with the partial trajectory attached to the error.
+    Increments are the base stream of `path`, drawn by absolute step index,
+    so resuming from a checkpoint is bit-compatible with the uninterrupted
+    run. NonFinite coefficients abort with the partial trajectory attached
+    to the error.
     """
-    traj, = integrate_paths(cfg, system, [path], u0, store_every, resume,
-                            None if driving is None else [driving], check_stability)
+    traj, = integrate_paths(cfg, system, [path], u0, store_every, resume, check_stability)
     if traj.nonfinite:
         raise NonFiniteError(traj.nonfinite, traj)
     return traj
@@ -434,7 +410,6 @@ def integrate(cfg: StepperConfig, system: NoiseSystem, path: PathSpec,
 def integrate_paths(cfg: StepperConfig, system: NoiseSystem, paths: list[PathSpec],
                     u0: SpectralField, store_every: int = 1,
                     resume: SimState | None = None,
-                    driving: list[IncrementBlock] | None = None,
                     check_stability: bool = True) -> list[Trajectory]:
     """Integrate every path from u0 (or one checkpoint) to t_end as one stack.
 
@@ -459,18 +434,8 @@ def integrate_paths(cfg: StepperConfig, system: NoiseSystem, paths: list[PathSpe
     remaining = total_steps - start.step
     if remaining < 0:
         raise ValueError("checkpoint lies beyond t_end")
-    if driving is not None:
-        for block in driving:
-            if abs(block.dt - cfg.dt) > 1e-12 * cfg.dt:
-                raise ValueError("driving block dt does not match the stepper dt")
-            if block.step0 != start.step or block.n_steps < remaining:
-                raise ValueError("driving block does not cover the requested steps")
-            if block.increments.shape[1] != system.n_wiener:
-                raise ValueError("driving block has the wrong Wiener count")
-        blocks = driving
-    else:
-        blocks = increments_paths(paths, start.step * cfg.dt, cfg.dt, remaining)
-    dw = np.stack([block.increments[:remaining] for block in blocks], axis=1)
+    blocks = increments_paths(paths, start.step * cfg.dt, cfg.dt, remaining)
+    dw = np.stack([block.increments for block in blocks], axis=1)
 
     series = {key: np.empty((remaining + 1, len(paths))) for key in _SERIES_KEYS}
     _record(series, 0, stack)

@@ -7,7 +7,8 @@ byte-deterministic, which .npz is not (zip timestamps). The sidecar carries
 the metadata (time, seed, cutoff, phi, budgets, stop records) and names the
 layout; files in any other layout, such as the half-spectrum or full-grid
 spectra of earlier snapshots, are refused rather than converted. A
-checkpoint restored from disk resumes bit-compatibly.
+checkpoint restored from disk resumes bit-compatibly. For the half
+spectrum, write the rows into `lattice.ball_mask(cutoff)` of zeros.
 """
 
 from __future__ import annotations

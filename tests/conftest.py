@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from stochns import (MultiplicativeNoise, NoiseSystem, TransportNoise,
+from stochns import (MultiplicativeNoise, NoiseSystem, SpectralField, TransportNoise,
                      build_lattice, validate_system)
-from stochns.fields import random_field
+from stochns.diagnostics import shell_spectrum
+from stochns.fields import pack_ball, random_field
 from stochns.nonlinear import dealias
 
 
@@ -40,6 +43,27 @@ def full_spectrum(f):
     the real grid values of its stored half."""
     axes = tuple(range(-f.lattice.dim, 0))
     return np.fft.fftn(np.fft.irfftn(f.coeffs, s=f.lattice.grid_shape, axes=axes), axes=axes)
+
+
+def unpack(c, lattice, cutoff):
+    """Half-spectrum coefficients holding the packed ball c, shape
+    (..., dim, n_ball), and zero elsewhere: the inverse of `pack_ball`."""
+    out = np.zeros(c.shape[:-1] + lattice.shape, dtype=np.complex128)
+    out[..., lattice.ball_mask(cutoff)] = c
+    return out
+
+
+def state_field(state):
+    """A SimState's packed ball as a solenoidal field on its lattice."""
+    return SpectralField(state.lattice, unpack(state.c, state.lattice, state.cutoff),
+                         solenoidal=True)
+
+
+def field_spectrum(f, t=0.0):
+    """`shell_spectrum` of a field, packed on a ball that holds every active mode."""
+    lat = f.lattice
+    cutoff = math.ceil(lat.abs_k[lat.active].max())
+    return shell_spectrum(pack_ball(f.coeffs, lat, cutoff), lat, cutoff, t=t)
 
 
 def smooth_field(lattice, seed=0, delta=0.4):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import smooth_field
+from conftest import smooth_field, state_field
 from stochns.brownian import PathSpec
 from stochns.cli import main
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
@@ -157,16 +157,14 @@ def test_c04_structural_identities():
 
     # mean-free/div-free preservation per integrator step
     from conftest import transport_system
-    from stochns.sde import StepperConfig, step
-    from stochns.brownian import increments
+    from stochns.sde import StepperConfig
     system = transport_system([np.array([0.5, 0.1])], g_coeffs=[0.1])
-    cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.01, cutoff=8)
-    state = initial_state(random_h1_field(lat, seed=10, k0=1.0), cfg)
-    rows = increments(PathSpec(3, 0, 2), 0.0, cfg.dt, 5).increments
-    for i in range(5):
-        state = step(state, cfg, system, rows[i])
-        rep = validate_physical(state.u)
-        scale = max(np.abs(state.u.coeffs).max(), 1e-30)
+    cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.005, cutoff=8)
+    traj = integrate(cfg, system, PathSpec(3, 0, 2), random_h1_field(lat, seed=10, k0=1.0))
+    for i, state in enumerate(traj.states[1:]):
+        u = state_field(state)
+        rep = validate_physical(u)
+        scale = max(np.abs(u.coeffs).max(), 1e-30)
         if rep.divergence_residual > 1e-12 * scale or rep.mean_residual > 1e-12 * scale:
             failures.append(f"step invariants at step {i}")
 
@@ -354,7 +352,7 @@ def test_c10_budget_opens_exactly():
     from stochns.sde import StepperConfig
     cfg = StepperConfig(nu=0.05, dt=1e-3, t_end=0.1, cutoff=16, k0=1.3)
     state = initial_state(u0, cfg)
-    exact = state.budget_sup == sobolev_norm_sq(state.u, 1.0)
+    exact = state.budget_sup == sobolev_norm_sq(state_field(state), 1.0)
     report("criterion 10a: budget at t=0 equals ||u0^N||_H1^2 exactly",
            exact, f"budget {state.budget_sup!r}")
 

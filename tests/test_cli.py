@@ -77,6 +77,20 @@ def test_simulate_smoke_writes_manifest(tmp_path):
     assert margin["ratio"] == dt / margin["bound"]
 
 
+def test_budget_opens_at_the_monitored_norm(tmp_path):
+    # the default config's u0 (the sim2d start): row 0 of every budgets file
+    # opens the budget sup at exactly the h1_sq the stepper reports at t = 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(ExperimentConfig.default(physics={"t_end": 0.002}).canonical_json())
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    budgets = sorted((tmp_path / "out").glob("budgets_path*.csv"))
+    assert len(budgets) == 2
+    for path in budgets:
+        header, row0 = path.read_text().splitlines()[:2]
+        values = dict(zip(header.split(","), map(float, row0.split(","))))
+        assert values["t"] == 0.0 and values["budget_sup"] == values["h1_sq"]
+
+
 def test_simulate_snapshot_holds_the_galerkin_ball(tmp_path):
     cfg = write_config(tmp_path, {"ensemble": {"n_paths": 1}})
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import full_grid_k, full_spectrum, smooth_field, transport_system
+from conftest import full_grid_k, full_spectrum, smooth_field, state_field, transport_system
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
 from stochns.config import ConfigError, ExperimentConfig, default_oracle_config
@@ -120,8 +120,8 @@ def test_field_round_trip(tmp_path, lat32):
     state = _ball_state(lat32, seed=1)
     save_state(tmp_path / "f", state, {"note": "test"})
     restored, meta = load_state(tmp_path / "f")
-    assert np.array_equal(restored.u.coeffs, state.u.coeffs)
-    assert restored.u.solenoidal and restored.lattice == lat32 and restored.cutoff == 8
+    assert np.array_equal(restored.c, state.c)
+    assert restored.lattice == lat32 and restored.cutoff == 8
     assert meta["note"] == "test" and meta["grid_n"] == 32 and meta["cutoff"] == 8
 
 
@@ -134,7 +134,6 @@ def test_state_round_trip(tmp_path, lat32):
     save_state(tmp_path / "s", state)
     restored, _ = load_state(tmp_path / "s")
     assert np.array_equal(restored.c, state.c)
-    assert np.array_equal(restored.u.coeffs, state.u.coeffs)
     assert restored.t == state.t and restored.step == state.step
     assert restored.budget_sup == state.budget_sup
     assert restored.stops == state.stops
@@ -144,20 +143,21 @@ def test_full_grid_snapshot_rejected(tmp_path, lat32):
     state = _ball_state(lat32, seed=4)
     save_state(tmp_path / "new", state)
     meta = json.loads((tmp_path / "new.json").read_text())
+    u = state_field(state)
     # snapshots in the earlier layouts: full-grid and half-spectrum coefficients
     for name, layout, coeffs in [
             ("full", "k-major complex128, axes (component, k1, ..., kd), numpy fft order",
-             full_spectrum(state.u)),
+             full_spectrum(u)),
             ("half", "Hermitian half spectrum, complex128, axes (component, k1, ..., kd); "
                      "k1..k(d-1) in numpy fft order, kd = 0..n/2 (rfftn layout)",
-             state.u.coeffs)]:
+             u.coeffs)]:
         np.save(tmp_path / f"{name}.npy", coeffs)
         (tmp_path / f"{name}.json").write_text(json.dumps({**meta, "layout": layout}))
         with pytest.raises(ValueError, match="layout"):
             load_state(tmp_path / name)
     # the current layout name on a half-spectrum array, or on another cutoff's
     # ball, is refused by its shape
-    for coeffs in (state.u.coeffs, pack_ball(state.u.coeffs, lat32, 7)):
+    for coeffs in (u.coeffs, pack_ball(u.coeffs, lat32, 7)):
         np.save(tmp_path / "new.npy", coeffs)
         with pytest.raises(ValueError, match="shape"):
             load_state(tmp_path / "new")

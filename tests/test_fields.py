@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_grid_k, full_spectrum, rough_field, smooth_field
-from stochns.diagnostics import shell_spectrum
+from conftest import field_spectrum, full_grid_k, full_spectrum, rough_field, smooth_field
 from stochns.fields import (GevreyOverflowError, GevreyWeight,
                             LatticeMismatchError, SpectralField,
                             galerkin_complement, galerkin_project,
@@ -342,7 +341,7 @@ def test_parseval_sums_match_full_grid(dim, grid):
     k = full_grid_k(dim, grid)
     kappa = np.rint(np.sqrt(np.sum(k * k, axis=0))).astype(int)
     energy = np.bincount(kappa.ravel(), weights=np.sum(np.abs(full_spectrum(f)) ** 2, axis=0).ravel())
-    spec = shell_spectrum(f)
+    spec = field_spectrum(f)
     # shells past the dealias limit hold 0 against the rebuild's FFT roundoff
     np.testing.assert_allclose(spec.energy, energy[spec.kappa], rtol=1e-13,
                                atol=1e-15 * energy.max())

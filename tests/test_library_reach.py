@@ -18,7 +18,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # used from outside the package on purpose (the console-script entry point
 # `cli.main` needs no entry: the module's __main__ block calls it)
 ALLOWED = {
-    "sde.integrate",                        # the README library sketch's integrator
     "snapshots.load_state",                 # the README's snapshot reader
     "fields.gevrey_sobolev_norm_sq",        # the README's overflow-checked Gevrey norm
     "brownian.refine",                      # one block's bridge; a benchmarks/tracing.py target

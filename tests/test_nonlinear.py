@@ -4,11 +4,11 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import full_grid_k, full_spectrum, smooth_field
+from conftest import full_grid_k, full_spectrum, smooth_field, unpack
 from stochns.fields import (GevreyWeight, LatticeMismatchError, SpectralField,
                             galerkin_project, pack_ball, random_field,
                             single_mode_field, sobolev_norm, sobolev_norm_sq,
-                            unpack_ball, validate_physical, weighted_inner, zero_field)
+                            validate_physical, weighted_inner, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.nonlinear import (_leray, convect, convect_plan, dealias, from_physical,
                                to_physical, transport, transport_multipliers)
@@ -189,7 +189,7 @@ def test_pruned_convect_matches_unpruned_transforms(dim, grid, cutoff, same):
         plan = convect_plan(lat, cutoff)
         cu = pack_ball(u.coeffs, lat, cutoff)
         cv = cu if same else pack_ball(v.coeffs, lat, cutoff)
-        out = unpack_ball(convect(cu, cv, plan), lat, cutoff)
+        out = unpack(convect(cu, cv, plan), lat, cutoff)
         ref = np.where(lat.ball_mask(cutoff), unpruned_reference(lat, u.coeffs, v.coeffs), 0.0)
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 

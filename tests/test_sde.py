@@ -7,19 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import smooth_field, transport_system
+from conftest import smooth_field, state_field, transport_system, unpack
 from stochns import studies
 from stochns.brownian import PathSpec, increments, refine, refine_paths
 from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
 from stochns.fields import (galerkin_complement, pack_ball, random_h1_field,
-                            single_mode_field, sobolev_norm_sq, transfer, unpack_ball,
+                            single_mode_field, sobolev_norm_sq, transfer,
                             validate_physical, zero_field)
 from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
 from stochns.nonlinear import transport_multipliers
 from stochns.sde import (NonFiniteError, PathStack, SimState, StepperConfig, Trajectory,
-                         _Stepper, _advance, dt_stability, initial_state, integrate, step)
+                         _Stepper, _advance, dt_stability, initial_state, integrate)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
 
 
@@ -71,7 +71,7 @@ def test_drift_corrector_contribution(lat32):
     system = transport_system([np.array([1.0, 0.0])])
     cfg = make_cfg(nu=0.05, convection=False)
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
-    out = unpack_ball(_Stepper(cfg, system, lat32).advance(_ball(u), np.zeros(1)), lat32, 8)
+    out = unpack(_Stepper(cfg, system, lat32).advance(_ball(u), np.zeros(1)), lat32, 8)
     # exp(-nu |k|^2 dt) (1 + dt (-1/2)(xi.k)^2) u = exp(-0.05*4 dt) (1 - 2 dt) u at k=(2,0)
     expected = math.exp(-0.05 * 4.0 * cfg.dt) * (1.0 - 2.0 * cfg.dt) * u.coeffs[:, 2, 0]
     np.testing.assert_allclose(out[:, 2, 0], expected, rtol=1e-14)
@@ -110,7 +110,7 @@ def test_additive_sigma_carried_onto_stepper_lattice(lat16, lat32):
 def test_diffusion_transport_multiplier(lat32, xi_system):
     u = single_mode_field(lat32, (2, 0), (0.0, 1.0))
     stepper = _Stepper(make_cfg(convection=False), xi_system, lat32)
-    out = unpack_ball(_diffusion_field(stepper, _ball(u), 0), lat32, 8)
+    out = unpack(_diffusion_field(stepper, _ball(u), 0), lat32, 8)
     # entry k: -i (xi.k) u_hat = -1.6j u_hat at k=(2,0), xi=(0.8,0), decayed
     expected = -1.6j * math.exp(-0.05 * 4.0 * 1e-3) * u.coeffs[:, 2, 0]
     np.testing.assert_allclose(out[:, 2, 0], expected, rtol=1e-14)
@@ -349,13 +349,13 @@ def test_pack_unpack_round_trip(lat3d):
     # storage order: the ball's flat half-spectrum indices, ascending
     flat = np.flatnonzero(lat3d.ball_mask(5))
     np.testing.assert_array_equal(packed, u.coeffs.reshape(3, -1)[:, flat])
-    np.testing.assert_array_equal(unpack_ball(packed, lat3d, 5),
+    np.testing.assert_array_equal(unpack(packed, lat3d, 5),
                                   np.where(lat3d.ball_mask(5), u.coeffs, 0.0))
     # a stack of paths packs and unpacks path by path
     stack = np.stack([u.coeffs, 2.0 * u.coeffs])
     assert np.array_equal(pack_ball(stack, lat3d, 5)[1], pack_ball(stack[1], lat3d, 5))
-    assert np.array_equal(unpack_ball(pack_ball(stack, lat3d, 5), lat3d, 5)[1],
-                          unpack_ball(pack_ball(stack[1], lat3d, 5), lat3d, 5))
+    assert np.array_equal(unpack(pack_ball(stack, lat3d, 5), lat3d, 5)[1],
+                          unpack(pack_ball(stack[1], lat3d, 5), lat3d, 5))
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 100, 32), (3, 16, 4), (3, 48, 16)],
@@ -379,41 +379,41 @@ def test_explicit_drift_convection_matches_unpruned_transforms(dim, grid, cutoff
 # stepping
 
 def test_zero_field_stays_zero(lat32, off_system):
-    cfg = make_cfg()
-    state = initial_state(zero_field(lat32), cfg)
-    out = step(state, cfg, off_system, np.zeros(0))
-    assert np.abs(out.u.coeffs).max() == 0.0
+    traj = integrate(make_cfg(t_end=1e-3), off_system, PathSpec(1, 0, 0), zero_field(lat32))
+    assert traj.final.step == 1 and np.abs(traj.final.c).max() == 0.0
 
 
 def test_pure_stokes_exact_decay(lat32, off_system):
-    cfg = make_cfg(nu=0.04, dt=2e-3, t_end=0.05)
-    state = initial_state(shear_field(lat32), cfg)
-    amp0 = abs(state.u.coeffs[0, 0, 1])
-    for i in range(5):
-        state = step(state, cfg, off_system, np.zeros(0))
+    cfg = make_cfg(nu=0.04, dt=2e-3, t_end=0.01)
+    traj = integrate(cfg, off_system, PathSpec(1, 0, 0), shear_field(lat32))
+    amp0 = abs(state_field(traj.states[0]).coeffs[0, 0, 1])
     expected = amp0 * math.exp(-0.04 * 1.0 * 5 * 2e-3)
-    assert abs(abs(state.u.coeffs[0, 0, 1]) - expected) <= 1e-13
+    assert traj.final.step == 5
+    assert abs(abs(state_field(traj.final).coeffs[0, 0, 1]) - expected) <= 1e-13
 
 
 def test_step_preserves_invariants(lat32, xi_system):
-    cfg = make_cfg()
-    state = initial_state(random_h1_field(lat32, seed=3, k0=1.0), cfg)
-    rng_row = increments(PathSpec(1, 0, 1), 0.0, cfg.dt, 4).increments
-    scale = np.abs(state.u.coeffs).max()
-    for i in range(4):
-        state = step(state, cfg, xi_system, rng_row[i])
-        rep = validate_physical(state.u)
+    cfg = make_cfg(t_end=0.004)
+    traj = integrate(cfg, xi_system, PathSpec(1, 0, 1), random_h1_field(lat32, seed=3, k0=1.0))
+    scale = np.abs(traj.states[0].c).max()
+    assert len(traj.states) == 5
+    for state in traj.states[1:]:
+        u = state_field(state)
+        rep = validate_physical(u)
         assert rep.divergence_residual <= 1e-12 * scale
         assert rep.mean_residual <= 1e-12 * scale
         # support invariance: nothing above the cutoff
-        assert np.abs(state.u.coeffs[:, ~lat32.ball_mask(cfg.cutoff)]).max() == 0.0
+        assert np.abs(u.coeffs[:, ~lat32.ball_mask(cfg.cutoff)]).max() == 0.0
 
 
 def test_budget_opens_at_initial_enstrophy(lat32, off_system):
+    # the budget opens at the stepper's own ball sum, which the h1_sq series
+    # starts from; the half-spectrum norm sums the same terms in another order
     cfg = make_cfg(k0=1.0)
     u0 = random_h1_field(lat32, seed=4, k0=1.0)
     state = initial_state(u0, cfg)
-    assert state.budget_sup == sobolev_norm_sq(state.u, 1.0)
+    assert state.budget_sup == _Stepper(cfg, off_system, lat32).observables(state.c, 0.0)["h1_sq"]
+    assert state.budget_sup == pytest.approx(sobolev_norm_sq(state_field(state), 1.0), rel=1e-15)
     assert state.budget_int == 0.0 and state.h2_int == 0.0
 
 
@@ -427,10 +427,11 @@ def test_nonfinite_detected(lat32, off_system):
     cfg = make_cfg(dt=1e-3)
     coeffs = np.zeros((2,) + lat32.shape, dtype=complex)
     coeffs[0, 1, 2] = np.nan
-    bad = initial_state(smooth_field(lat32, seed=6), cfg)
-    bad = dataclasses.replace(bad, c=pack_ball(coeffs, lat32, cfg.cutoff))
+    u0 = smooth_field(lat32, seed=6)
+    bad = dataclasses.replace(initial_state(u0, cfg), c=pack_ball(coeffs, lat32, cfg.cutoff))
     with pytest.raises(NonFiniteError):
-        step(bad, cfg, off_system, np.zeros(0))
+        integrate(dataclasses.replace(cfg, t_end=cfg.dt), off_system, PathSpec(1, 0, 0), u0,
+                  resume=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def test_resume_bit_compatible(lat32, xi_system, tmp_path):
     save_state(tmp_path / "ckpt", half.final)
     restored, _ = load_state(tmp_path / "ckpt")
     resumed = integrate(cfg, xi_system, path, u0, store_every=20, resume=restored)
-    assert np.array_equal(resumed.final.u.coeffs, full.final.u.coeffs)
+    assert np.array_equal(resumed.final.c, full.final.c)
     assert resumed.final.budget_sup == full.final.budget_sup
     assert resumed.final.budget_int == full.final.budget_int
     assert resumed.final.h2_int == full.final.h2_int
@@ -517,7 +518,7 @@ def test_step_rejects_another_cutoff(lat32, xi_system):
     # the cutoff-8 ball does not fit the cutoff-6 stepper's multipliers
     state = initial_state(smooth_field(lat32, seed=5), make_cfg(cutoff=8))
     with pytest.raises(ValueError, match="cutoff 8 .* cutoff 6"):
-        step(state, make_cfg(cutoff=6), xi_system, np.zeros(1))
+        PathStack(state, 1, _Stepper(make_cfg(cutoff=6), xi_system, lat32))
 
 
 def test_stack_states_own_their_rows(lat32, xi_system):
@@ -546,7 +547,7 @@ def test_stored_states_are_ball_sized(dim, grid, cutoff):
     for state in traj.states:
         assert state.c.shape == (dim, n_ball) and state.c.dtype == np.complex128
         assert not state.c.flags.writeable
-        assert np.array_equal(pack_ball(state.u.coeffs, lat, cutoff), state.c)
+        assert np.array_equal(pack_ball(state_field(state).coeffs, lat, cutoff), state.c)
 
 
 @pytest.mark.parametrize("dim,grid,cutoff", [(2, 64, 8), (3, 24, 4)])
@@ -562,18 +563,21 @@ def test_minimal_lattice_run_matches_reference_lattice(dim, grid, cutoff):
     path = PathSpec(7, 0, system.n_wiener)
     on_ref = integrate(cfg, system, path, u0)
     on_small = integrate(cfg, system, path, transfer(u0, small))
-    assert on_small.final.u.lattice == small and on_small.final.step == 20
-    diff = sobolev_norm_sq(on_ref.final.u - transfer(on_small.final.u, ref), 1.0)
-    assert math.sqrt(diff) <= 1e-12 * math.sqrt(sobolev_norm_sq(on_ref.final.u, 1.0))
+    final_ref, final_small = state_field(on_ref.final), state_field(on_small.final)
+    assert final_small.lattice == small and on_small.final.step == 20
+    diff = sobolev_norm_sq(final_ref - transfer(final_small, ref), 1.0)
+    assert math.sqrt(diff) <= 1e-12 * math.sqrt(sobolev_norm_sq(final_ref, 1.0))
     for key in ("h1_sq", "h2_int", "budget_sup", "budget_int"):
         np.testing.assert_allclose(on_small.series[key], on_ref.series[key], rtol=1e-12)
 
 
 def test_readme_library_sketch_keeps_the_step_size_rule(capsys):
-    # the sketch runs as written with every warning an error, the stability
-    # rule's included, and finds the positive radius it promises
+    # the README's one python block, the library sketch, runs as written with
+    # every warning an error, the stability rule's included, and finds the
+    # positive radius it promises
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    sketch, = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert f"## Library sketch\n\n```python\n{sketch}```" in readme
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         exec(sketch, {})
@@ -725,9 +729,10 @@ def test_decay_study_errors_match_half_spectrum_definitions(t_end):
     for n, traj in trajs.items():
         state, = (s for s in traj.states if s.t == outcome.stop_times[n])
         ref_state, = (s for s in ref.states if s.t == outcome.stop_times[n])
-        expected = sobolev_norm_sq(ref_state.u - transfer(state.u, lattice), 1.0)
+        expected = sobolev_norm_sq(
+            state_field(ref_state) - transfer(state_field(state), lattice), 1.0)
         assert outcome.errors_sq[n] == pytest.approx(expected, rel=1e-13)
-    tail = sobolev_norm_sq(galerkin_complement(ref.final.u, 8), 1.0)
+    tail = sobolev_norm_sq(galerkin_complement(state_field(ref.final), 8), 1.0)
     assert outcome.ref_tail_sq == pytest.approx(tail, rel=1e-13)
 
 
@@ -779,22 +784,24 @@ def test_nonfinite_observable_raises(lat32, off_system):
     # finite coefficients whose squared modulus overflows; convection off, so
     # the coefficients stay finite and only the observable guard can fire
     cfg = make_cfg(cutoff=4, convection=False)
-    u = single_mode_field(lat32, (1, 0), (0.0, 1e200))
-    state = initial_state(u, cfg)
-    with pytest.raises(NonFiniteError, match="non-finite l2_sq"):
-        step(state, cfg, off_system, np.zeros(0))
+    stepper = _Stepper(cfg, off_system, lat32)
+    stack = PathStack(initial_state(single_mode_field(lat32, (1, 0), (0.0, 1e200)), cfg), 1,
+                      stepper)
+    assert _advance(stack, stepper, np.zeros((1, 0))) == [0]
+    assert stack.failed[0].startswith("non-finite l2_sq")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_convection_raises(lat32, off_system):
     # the same shear mode with convection on: (u.grad)u is zero, but the
-    # divergence-form products u_j u_m overflow, and the step must end with
-    # NonFiniteError rather than carry an inf
+    # divergence-form products u_j u_m overflow, and the step must end the
+    # path with a non-finite record rather than carry an inf
     cfg = make_cfg(cutoff=4)
-    u = single_mode_field(lat32, (1, 0), (0.0, 1e200))
-    state = initial_state(u, cfg)
-    with pytest.raises(NonFiniteError, match="non-finite coefficient"):
-        step(state, cfg, off_system, np.zeros(0))
+    stepper = _Stepper(cfg, off_system, lat32)
+    stack = PathStack(initial_state(single_mode_field(lat32, (1, 0), (0.0, 1e200)), cfg), 1,
+                      stepper)
+    assert _advance(stack, stepper, np.zeros((1, 0))) == [0]
+    assert stack.failed[0].startswith("non-finite coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +809,9 @@ def test_overflowing_convection_raises(lat32, off_system):
 
 def _oracle_reference(config):
     """Per-path strong and modulus errors of the linear oracle, by one
-    `integrate` call per path and dt level, measured on the packed ball; and
-    the strong errors by their half-spectrum definition."""
+    one-path `PathStack` per path and dt level, stepped through `_advance` on
+    that level's bridge refinement of the path's base block and measured on
+    the packed ball; and the strong errors by their half-spectrum definition."""
     lattice, system, u0 = studies.prepare(config)
     xi = np.asarray(system.xi.vectors[0])
     nu, t_end, dt0 = config["physics.nu"], config["physics.t_end"], config["physics.dt"]
@@ -816,17 +824,20 @@ def _oracle_reference(config):
         for lvl in range(levels):
             cfg = dataclasses.replace(config.stepper_config(config["galerkin.n_ref"]),
                                       dt=dt0 / 2**lvl)
-            traj = integrate(cfg, system, path, u0, store_every=10**9, driving=block,
-                             check_stability=False)
-            start, final = traj.states[0].u, traj.final.c
-            exact, heat = (_linear_exact(start, xi, nu, w, t_end)
+            stepper = _Stepper(cfg, system, lattice)
+            start = initial_state(u0, cfg)
+            stack = PathStack(start, 1, stepper)
+            for dw in block.increments:
+                _advance(stack, stepper, dw[None])
+            final = stack.c[0]
+            exact, heat = (_linear_exact(state_field(start), xi, nu, w, t_end)
                            for w in (float(block.increments[:, 0].sum()), 0.0))
             diff = final - pack_ball(exact.coeffs, lattice, cfg.cutoff)
-            stepper = _Stepper(cfg, system, lattice)
             strong[i, lvl] = math.sqrt(stepper.observables(diff, 0.0)["l2_sq"])
             modulus[i, lvl] = float(np.abs(np.abs(final) - np.abs(
                 pack_ball(heat.coeffs, lattice, cfg.cutoff))).max())
-            half_strong[i, lvl] = math.sqrt(sobolev_norm_sq(traj.final.u - exact, 0.0))
+            half_strong[i, lvl] = math.sqrt(sobolev_norm_sq(state_field(stack.state(0))
+                                                            - exact, 0.0))
             if lvl + 1 < levels:
                 block = refine(block, 2)
     return strong, modulus, half_strong
