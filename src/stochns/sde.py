@@ -25,9 +25,11 @@ times the convection term (`_Stepper.explicit_drift`) and the decayed
 fields sigma_hat_k dW_k, and returns only the new coefficients.
 
 `_advance` is the one step loop body of every command: it advances a
-`PathStack` of paths from one start, reduces the five observables in one
-call, scans a path's coefficients only when one of its sums is not finite,
-writes the failure message, and keeps budgets and stop records per path.
+`PathStack` of paths from one start, reduces the observables the stack
+lists (all five for `simulate` and the exceedance study, `h2_sq` for the
+decay study, `l2_sq` for the linear oracle) in one call, scans a path's
+coefficients only when one of its sums is not finite, writes the failure
+message, and keeps per path the budgets and stop records those sums feed.
 Budgets (the Gevrey-H^1 sup and the nu-weighted Gevrey-H^2 time integral)
 are accumulated with left-endpoint quadrature and the stopping monitors are
 evaluated at step boundaries; integration continues past a trigger, only
@@ -165,13 +167,17 @@ def dt_stability(cfg: StepperConfig, system: NoiseSystem, h1_sq: float) -> dict:
     if system.g.variant == "linear":
         rate += sum(c * c for c in system.g.coefficients)
     bound = min(adv, 0.1 / rate if rate > 0 else float("inf"))
-    return {"N": cfg.cutoff, "dt": cfg.dt, "bound": bound, "ratio": cfg.dt / bound}
+    # an infinite ||u0||_H1 leaves no admissible step: the bound is 0
+    return {"N": cfg.cutoff, "dt": cfg.dt, "bound": bound,
+            "ratio": cfg.dt / bound if bound > 0 else float("inf")}
 
 
 # ---------------------------------------------------------------------------
 # the stepping engine
 
 _OBS_KEYS = ("l2_sq", "h1_sq", "h2_sq", "gevrey_h1_sq", "gevrey_h2_sq")
+# each observable's Sobolev order: its row of `_Stepper.w_ball`
+_OBS_ORDER = dict(zip(_OBS_KEYS, (0, 1, 2, 1, 2)))
 
 
 class _Stepper:
@@ -269,31 +275,39 @@ class _Stepper:
 
     # -- scalar observables ---------------------------------------------------
 
-    def observables(self, c: np.ndarray, phi: float) -> dict:
-        """Squared norms of packed states, summed over the ball per path.
+    def observables(self, c: np.ndarray, phi: float, keys=_OBS_KEYS) -> dict:
+        """The squared norms named in keys, summed over the ball per path.
 
-        The weighted terms of the five norms fill one (5, ..., n_ball) array
-        that one sum reduces; at phi = 0 the Gevrey factor is exactly 1.
+        Their weighted terms fill one (len(keys), ..., n_ball) array that one
+        sum reduces along the last axis, so a sum is bitwise the same whatever
+        else is asked. The Gevrey factor exp(2 phi |k|^(1/s)) is evaluated
+        only for a Gevrey key; at phi = 0 it is exactly 1.
         """
         mod = ball_mod_sq(c)
-        terms = np.empty((5,) + mod.shape)
-        for row, w in zip(terms, self.w_ball):
-            np.multiply(w, mod, out=row)
-        np.multiply(terms[1:3], np.exp((2.0 * phi) * self.root_ball), out=terms[3:])
-        return dict(zip(_OBS_KEYS, terms.sum(axis=-1)))
+        terms = np.empty((len(keys),) + mod.shape)
+        gevrey = (np.exp((2.0 * phi) * self.root_ball)
+                  if any(key.startswith("gevrey") for key in keys) else None)
+        for row, key in zip(terms, keys):
+            np.multiply(self.w_ball[_OBS_ORDER[key]], mod, out=row)
+            if key.startswith("gevrey"):
+                row *= gevrey
+        return dict(zip(keys, terms.sum(axis=-1)))
 
 
 class PathStack:
     """Paths of one cutoff from a common start, stepped together by `_advance`.
 
     The paths share the time and step count. `c` is their packed
-    (P, dim, n_ball) stack; the budgets, the stop records and the
-    observables at the current time are kept per path. A path whose step
-    turns non-finite gets its message in `failed`; from then on its row is
-    zero and its budgets, stops and states are not taken.
+    (P, dim, n_ball) stack; the observables named in `keys`, at the current
+    time, are kept per path, and so are the monitors they feed: `h2_int`
+    and its stop with `h2_sq`, the budgets and their stop with both Gevrey
+    sums. A budget the stack does not track keeps its start value, so only
+    a stack of all five sums gives states. A path whose step turns
+    non-finite gets its message in `failed`; from then on its row is zero
+    and its budgets, stops and states are not taken.
     """
 
-    def __init__(self, start: SimState, n_paths: int, stepper: _Stepper):
+    def __init__(self, start: SimState, n_paths: int, stepper: _Stepper, keys=_OBS_KEYS):
         if start.cutoff != stepper.cfg.cutoff:
             raise ValueError(f"state cutoff {start.cutoff} does not match the "
                              f"stepper's cutoff {stepper.cfg.cutoff}")
@@ -309,7 +323,8 @@ class PathStack:
                      for monitor in ("budget", "h2")}
         self.live = np.ones(n_paths, dtype=bool)
         self.failed: list[str | None] = [None] * n_paths
-        self.obs = stepper.observables(self.c, stepper.cfg.phi_at(self.t))
+        self.keys = tuple(keys)
+        self.obs = stepper.observables(self.c, stepper.cfg.phi_at(self.t), self.keys)
 
     def fail(self, p: int, message: str) -> None:
         """End path p with `message`; its row is zeroed and skipped."""
@@ -319,6 +334,8 @@ class PathStack:
 
     def state(self, p: int) -> SimState:
         """Path p as a SimState that owns a copy of its row."""
+        if set(self.keys) != set(_OBS_KEYS):
+            raise ValueError(f"a stack observing only {self.keys} keeps no budgets")
         return SimState(t=self.t, step=self.step, c=self.c[p].copy(), lattice=self.lattice,
                         cutoff=self.cutoff, budget_sup=self.budget_sup[p],
                         budget_int=self.budget_int[p], h2_int=self.h2_int[p],
@@ -327,20 +344,19 @@ class PathStack:
 
 def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
     """One step of every path in the stack, with one increment row per path
-    in dw; observables, budgets and monitors are updated. Returns the paths
-    that turned non-finite in this step."""
+    in dw; the stack's observables and the monitors they feed are updated.
+    Returns the paths that turned non-finite in this step."""
     cfg = stepper.cfg
-    budget_int = stack.budget_int + cfg.dt * cfg.nu * stack.obs["gevrey_h2_sq"]
-    h2_int = stack.h2_int + cfg.dt * stack.obs["h2_sq"]
+    before = stack.obs   # the integrals' left endpoints
     stack.t += cfg.dt
     stack.step += 1
     stack.c = c = stepper.advance(stack.c, dw)
-    stack.obs = obs = stepper.observables(c, cfg.phi_at(stack.t))
+    stack.obs = obs = stepper.observables(c, cfg.phi_at(stack.t), stack.keys)
     failed = []
     finite = np.isfinite(np.array(tuple(obs.values())))
     if not finite.all():
-        # a non-finite coefficient makes its path's l2_sq non-finite (every
-        # weight is >= 1), so finite sums clear the coefficients too
+        # a non-finite coefficient makes every sum of its path non-finite
+        # (every weight is >= 1), so finite sums clear the coefficients too
         coeff_ok = np.isfinite(c).all(axis=(-2, -1))
         for p in np.flatnonzero(~finite.all(axis=0) & stack.live):
             what = ("coefficient" if not coeff_ok[p] else
@@ -352,17 +368,20 @@ def _advance(stack: PathStack, stepper: _Stepper, dw: np.ndarray) -> list[int]:
         c[~stack.live] = 0.0
         for value in obs.values():
             value[~stack.live] = 0.0
-    budget_sup = np.maximum(stack.budget_sup, obs["gevrey_h1_sq"])
-
-    value = budget_sup + budget_int
-    hits = (("budget", value, value > stack.initial_h1_sq + cfg.budget_m),
-            ("h2", h2_int, h2_int >= cfg.h2_r))
+    hits = []
+    if {"gevrey_h1_sq", "gevrey_h2_sq"} <= set(obs):
+        stack.budget_int = stack.budget_int + cfg.dt * cfg.nu * before["gevrey_h2_sq"]
+        stack.budget_sup = np.maximum(stack.budget_sup, obs["gevrey_h1_sq"])
+        value = stack.budget_sup + stack.budget_int
+        hits.append(("budget", value, value > stack.initial_h1_sq + cfg.budget_m))
+    if "h2_sq" in obs:
+        stack.h2_int = stack.h2_int + cfg.dt * before["h2_sq"]
+        hits.append(("h2", stack.h2_int, stack.h2_int >= cfg.h2_r))
     for monitor, values, hit in hits:
         if hit.any():
             for p in np.flatnonzero(hit & stack.open[monitor] & stack.live):
                 stack.stops[p] += (StopRecord(monitor, stack.t, stack.step, values[p]),)
                 stack.open[monitor][p] = False
-    stack.budget_sup, stack.budget_int, stack.h2_int = budget_sup, budget_int, h2_int
     return failed
 
 

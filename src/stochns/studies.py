@@ -5,9 +5,12 @@ plain result objects; the CLI layer only serializes them. Ensembles are
 split into contiguous chunks of paths by `_run_chunks`, a multiple of
 `ensemble.workers` of them; each chunk is one thread-pool task that advances
 its paths as one packed stack (`sde.PathStack`) through `sde._advance`, and
-the results are reassembled in path order. A stack gives each path the
-arithmetic it gets alone and the Wiener driver is counter-based, so results
-do not depend on the worker count or the chunking. Every engine reads the
+the results are reassembled in path order. A stack sums only the
+observables its engine reads: all five for `simulate` and the exceedance
+study, `h2_sq` (for tau_R) for the decay study, `l2_sq` for the linear
+oracle. A stack gives each path the arithmetic it gets alone and the Wiener
+driver is counter-based, so results do not depend on the worker count or
+the chunking. Every engine reads the
 Galerkin states as packed balls: the shell spectra, the `invariants` step
 checks, and the decay-study and linear-oracle errors, which are
 `_Stepper.observables` sums over packed rows.
@@ -193,13 +196,13 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
     rows = {n: inner_ball(lattice, n_ref, n) for n in cutoffs}
 
     def h1_sq(c: np.ndarray) -> np.ndarray:
-        return steppers[n_ref].observables(c, 0.0)["h1_sq"]
+        return steppers[n_ref].observables(c, 0.0, ("h1_sq",))["h1_sq"]
 
     def run_chunk(indices: range) -> list[DecayPathOutcome]:
         blocks = increments_paths([config.path_spec(i, system.n_wiener) for i in indices],
                                   0.0, dt, n_steps)
         dw = np.stack([block.increments for block in blocks], axis=1)
-        stacks = {n: PathStack(starts[n], len(indices), steppers[n]) for n in runs}
+        stacks = {n: PathStack(starts[n], len(indices), steppers[n], ("h2_sq",)) for n in runs}
         ref = stacks[n_ref]
         errors = [{} for _ in indices]
         stop_times = [{} for _ in indices]
@@ -263,10 +266,10 @@ def decay_study(config: ExperimentConfig) -> DecayResult:
 # ---------------------------------------------------------------------------
 # linear oracle
 
-# the oracle's chunk budget, bytes of one stacked (paths, dim, n_ball) state;
-# larger chunks cost memory (on the oracle2d workload, 256 KiB raised peak
-# RSS by 0.3-0.4 MiB and 4 MiB by 5.1-5.2 MiB)
-_ORACLE_CHUNK_BYTES = 128 << 10
+# the oracle's chunk budget, bytes of one stacked (paths, dim, n_ball) state:
+# 4 chunks of oracle2d's 256 paths. Against 128 KiB it read wall_s -8% (7/10
+# pairs) at +0.3 MiB peak RSS; 4 MiB chunks cost 5.1-5.2 MiB more
+_ORACLE_CHUNK_BYTES = 256 << 10
 
 
 @dataclass
@@ -324,13 +327,14 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
         for lvl, stepper in enumerate(steppers):
             if lvl:
                 blocks = refine_paths(blocks, 2)
-            stack = PathStack(start, len(indices), stepper)
+            stack = PathStack(start, len(indices), stepper, ("l2_sq",))
             for dw in np.stack([block.increments for block in blocks], axis=1):
                 _advance(stack, stepper, dw)
             failed = [first or now for first, now in zip(failed, stack.failed)]
             w_end = np.array([[[block.increments[:, 0].sum()]] for block in blocks])
             exact = start.c * np.exp(heat_exp - i_theta * w_end)
-            strong[:, lvl] = np.sqrt(stepper.observables(stack.c - exact, 0.0)["l2_sq"])
+            strong[:, lvl] = np.sqrt(stepper.observables(stack.c - exact, 0.0,
+                                                         ("l2_sq",))["l2_sq"])
             modulus[:, lvl] = np.abs(np.abs(stack.c) - heat).max(axis=(-2, -1))
         return list(zip(strong, modulus, failed))
 
@@ -344,7 +348,7 @@ def linear_oracle_study(config: ExperimentConfig) -> OracleResult:
     strong = np.mean([rows[i][0] for i in usable], axis=0)
     modulus = np.mean([rows[i][1] for i in usable], axis=0)
     # the start's ball L2 norm, the sum the strong errors are taken in
-    eps_scale = 1e-12 * math.sqrt(steppers[0].observables(start.c, 0.0)["l2_sq"])
+    eps_scale = 1e-12 * math.sqrt(steppers[0].observables(start.c, 0.0, ("l2_sq",))["l2_sq"])
     machine = bool(np.all(strong < eps_scale))
     if machine:
         s_slope = m_slope = 0.0

@@ -18,8 +18,8 @@ from stochns.lattice import build_lattice, galerkin_grid
 from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            solenoidal_mode_field, validate_system)
 from stochns.nonlinear import transport_multipliers
-from stochns.sde import (NonFiniteError, PathStack, SimState, StepperConfig, Trajectory,
-                         _Stepper, _advance, dt_stability, initial_state, integrate)
+from stochns.sde import (_OBS_KEYS, NonFiniteError, PathStack, SimState, StepperConfig,
+                         Trajectory, _Stepper, _advance, dt_stability, initial_state, integrate)
 from test_nonlinear import ball_field, shear_field, unpruned_reference
 
 
@@ -157,14 +157,15 @@ def _batch_system(lat, g_kind):
                             g_coeffs=[0.2, -0.1] if g_kind == "linear" else [])
 
 
-def _stack(stepper, lat, c, t=0.0):
-    """A PathStack at time t whose paths start from the rows of c."""
+def _stack(stepper, lat, c, t=0.0, keys=_OBS_KEYS):
+    """A PathStack of the observables keys at time t whose paths start from
+    the rows of c."""
     start = SimState(t=t, step=0, c=c[0].copy(), lattice=lat,
                      cutoff=stepper.cfg.cutoff, budget_sup=0.0, budget_int=0.0, h2_int=0.0,
                      initial_h1_sq=0.0)
-    stack = PathStack(start, len(c), stepper)
+    stack = PathStack(start, len(c), stepper, keys)
     stack.c = c.copy()
-    stack.obs = stepper.observables(stack.c, stepper.cfg.phi_at(t))
+    stack.obs = stepper.observables(stack.c, stepper.cfg.phi_at(t), keys)
     return stack
 
 
@@ -199,6 +200,78 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
             assert value[p].tobytes() == alone.obs[name][0].tobytes(), name
         assert batch.stops[p] == alone.stops[0]
         assert batch.failed[p] is alone.failed[0] is None
+
+
+@pytest.mark.parametrize("keys", [("l2_sq",), ("h2_sq",)])
+@pytest.mark.parametrize("g_kind", ["linear", "additive"])
+@pytest.mark.parametrize("dim,grid,cutoff", [(2, 32, 8), (3, 16, 4)])
+def test_observed_subset_matches_the_full_stack_bitwise(dim, grid, cutoff, g_kind, keys):
+    # the oracle's and the decay study's stacks against the full one over 5
+    # steps: the same coefficients, observed sums and H^2 integral
+    lat = build_lattice(dim, grid)
+    system = _batch_system(lat, g_kind)
+    stepper = _Stepper(make_cfg(cutoff=cutoff, phi_cap=0.2), system, lat)
+    c = np.stack([pack_ball(smooth_field(lat, seed=s).coeffs, lat, cutoff) for s in range(3)])
+    dw = 0.03 * np.random.default_rng(11).standard_normal((5, 3, system.n_wiener))
+    full, part = _stack(stepper, lat, c, t=0.1), _stack(stepper, lat, c, t=0.1, keys=keys)
+    h2_int = np.zeros(3)   # left-endpoint quadrature of the H^2 sums
+    for row in dw:
+        h2_int = h2_int + stepper.cfg.dt * full.obs["h2_sq"]
+        assert _advance(full, stepper, row) == _advance(part, stepper, row) == []
+        assert part.c.tobytes() == full.c.tobytes()
+        assert list(part.obs) == list(keys)
+        for name, value in part.obs.items():
+            assert value.tobytes() == full.obs[name].tobytes(), name
+    assert np.any(full.budget_int) and full.h2_int.tobytes() == h2_int.tobytes()
+    if keys == ("h2_sq",):
+        assert part.h2_int.tobytes() == full.h2_int.tobytes()
+    else:
+        assert not np.any(part.h2_int)
+    # budgets the stack does not track keep their start values
+    assert not np.any(part.budget_sup) and not np.any(part.budget_int)
+    assert part.failed == full.failed == [None] * 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("convection,what", [(False, "l2_sq"), (True, "coefficient")])
+def test_l2_stack_ends_an_overflowing_path(lat32, off_system, convection, what):
+    # test_nonfinite_observable_raises and test_overflowing_convection_raises
+    # on the oracle's stack: its one sum still ends the path, with the message
+    # the full stack writes
+    cfg = make_cfg(cutoff=4, convection=convection)
+    stepper = _Stepper(cfg, off_system, lat32)
+    start = initial_state(single_mode_field(lat32, (1, 0), (0.0, 1e200)), cfg)
+    stack = PathStack(start, 1, stepper, ("l2_sq",))
+    assert _advance(stack, stepper, np.zeros((1, 0))) == [0]
+    assert stack.failed == [f"non-finite {what} at t=0.001 (step 1, dt=0.001)"]
+    assert not np.any(stack.c)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unobserved_gevrey_overflow_ends_only_the_full_stack(lat32, off_system):
+    # the one behaviour the observed subset changes: finite coefficients with
+    # a finite l2_sq, whose Gevrey sums overflow at phi 20 (exp(40) 1e300)
+    stepper = _Stepper(make_cfg(cutoff=4, convection=False, phi_cap=20.0), off_system, lat32)
+    c = _ball(single_mode_field(lat32, (1, 0), (0.0, 1e150)), cutoff=4)[None]
+    full, oracle = _stack(stepper, lat32, c, t=20.0), _stack(stepper, lat32, c, t=20.0,
+                                                              keys=("l2_sq",))
+    assert _advance(full, stepper, np.zeros((1, 0))) == [0]
+    assert full.failed == ["non-finite gevrey_h1_sq, gevrey_h2_sq at t=20.001 "
+                           "(step 1, dt=0.001)"]
+    assert _advance(oracle, stepper, np.zeros((1, 0))) == []
+    assert oracle.failed == [None] and np.isfinite(oracle.obs["l2_sq"]).all()
+    assert np.isfinite(oracle.c).all() and np.any(oracle.c)
+
+
+def test_only_a_full_stack_gives_states(lat32, xi_system):
+    # a stack that tracks no budgets has none to put in a SimState
+    cfg = make_cfg()
+    stepper = _Stepper(cfg, xi_system, lat32)
+    start = initial_state(smooth_field(lat32, seed=5), cfg)
+    for keys in (("l2_sq",), ("h2_sq",), _OBS_KEYS[:4]):
+        with pytest.raises(ValueError, match="keeps no budgets"):
+            PathStack(start, 1, stepper, keys).state(0)
+    assert PathStack(start, 1, stepper, _OBS_KEYS[::-1]).state(0).budget_sup == start.budget_sup
 
 
 def _observables_reference(stepper, c, phi):
@@ -802,6 +875,21 @@ def test_overflowing_convection_raises(lat32, off_system):
                       stepper)
     assert _advance(stack, stepper, np.zeros((1, 0))) == [0]
     assert stack.failed[0].startswith("non-finite coefficient")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinite_start_norm_is_a_nonfinite_record(lat32, off_system):
+    # a finite start whose squared H^1 norm overflows leaves the step-size
+    # rule no admissible step: ratio inf, and the path ends with its record
+    cfg = make_cfg(cutoff=4, convection=False)
+    u0 = single_mode_field(lat32, (1, 0), (0.0, 1e200))
+    assert dt_stability(cfg, off_system, float("inf")) == {"N": 4, "dt": 1e-3, "bound": 0.0,
+                                                           "ratio": float("inf")}
+    with pytest.raises(NonFiniteError) as err:
+        integrate(cfg, off_system, PathSpec(3, 0, 0), u0)
+    assert str(err.value).startswith("non-finite l2_sq")
+    assert str(err.value).endswith("at t=0.001 (step 1, dt=0.001)")
+    assert len(err.value.trajectory.states) == 1
 
 
 # ---------------------------------------------------------------------------
