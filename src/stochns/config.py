@@ -1,9 +1,11 @@
 """Experiment configuration: strict JSON schema, validation, object builders.
 
 Unknown keys are errors (a silently ignored typo would invalidate a
-convergence study). Hard invariants: n_ref >= 2 * max(cutoffs),
+convergence study): a key must be one of DEFAULT_CONFIG's at its path, or
+one of the few optional noise keys. Hard invariants: n_ref >= 2 * max(cutoffs),
 grid_n >= 3 * n_ref, and a phi_cap whose squared Gevrey-H^2 weight at
-|k| = n_ref stays in double range. The dt stability rule only warns.
+|k| = n_ref stays in double range (`fields.gevrey_range_error` at order 2).
+The dt stability rule only warns.
 
 grid_n >= 3 * n_ref does not put the whole reference ball inside the dealias
 box: at equality the 2/3 mask drops the ball's axis modes |k_i| = n_ref
@@ -60,34 +62,23 @@ DEFAULT_CONFIG: dict = {
     "oracle": {"refinements": 3},
 }
 
-_ALLOWED_KEYS = {
-    "": set(DEFAULT_CONFIG),
-    "lattice": {"dim", "grid_n"},
-    "physics": {"nu", "t_end", "dt", "convection"},
-    "gevrey": {"s", "r", "phi_cap", "exp_guard"},
-    "galerkin": {"cutoffs", "n_ref"},
-    "noise": {"multiplicative", "transport"},
-    "noise.multiplicative": {"variant", "coefficients", "index_set", "amplitudes", "modes"},
-    "noise.transport": {"variant", "amplitude", "count", "index_set", "vectors"},
-    "initial": {"beta", "k0", "seed"},
-    "ensemble": {"n_paths", "master_seed", "workers"},
-    "monitors": {"budget_m", "h2_r"},
-    "outputs": {"directory", "formats", "snapshot_stride", "dump_increments"},
-    "oracle": {"refinements"},
+# keys a config may hold beyond DEFAULT_CONFIG's: the additive g's fields and
+# explicit transport vectors
+_OPTIONAL_KEYS = {
+    "noise.multiplicative": {"amplitudes", "modes"},
+    "noise.transport": {"vectors"},
 }
 
 
-def _check_keys(data: dict, path: str = "") -> None:
-    allowed = _ALLOWED_KEYS.get(path)
-    if allowed is None:
-        return
-    unknown = set(data) - allowed
+def _check_keys(data: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> None:
+    """Every key must name a key of DEFAULT_CONFIG, or an optional one, at its path."""
+    unknown = set(data) - set(default) - _OPTIONAL_KEYS.get(path, set())
     if unknown:
         where = path or "top level"
         raise ConfigError(f"unknown config keys at {where}: {sorted(unknown)}")
     for key, value in data.items():
-        if isinstance(value, dict):
-            _check_keys(value, f"{path}.{key}" if path else key)
+        if isinstance(value, dict) and isinstance(default.get(key), dict):
+            _check_keys(value, default[key], f"{path}.{key}" if path else key)
 
 
 def _require(node, path: str, keys) -> None:
@@ -213,7 +204,7 @@ class ExperimentConfig:
             raise ConfigError("gevrey: s > 0, r >= 0, phi_cap >= 0 required")
         # the largest squared weight the stepper evaluates is the Gevrey-H^2
         # one at |k| = n_ref
-        problem = gevrey_range_error(gev["phi_cap"], gal["n_ref"], gev["s"], gev["exp_guard"])
+        problem = gevrey_range_error(gev["phi_cap"], gal["n_ref"], gev["s"], gev["exp_guard"], 2.0)
         if problem:
             raise ConfigError(f"gevrey.phi_cap={gev['phi_cap']}: {problem}")
         mon = d["monitors"]
@@ -271,9 +262,11 @@ class ExperimentConfig:
         return build_lattice(self["lattice.dim"],
                              min(self["lattice.grid_n"], galerkin_grid(cutoff)))
 
-    def gevrey_weight(self, phi: float = 0.0) -> GevreyWeight:
+    def gevrey_weight(self) -> GevreyWeight:
+        """The configured Gevrey class at width 0; the Sobolev order
+        `gevrey.r` is passed to each norm on its own."""
         g = self.data["gevrey"]
-        return GevreyWeight(s=g["s"], r=g["r"], phi=phi, exp_guard=g["exp_guard"])
+        return GevreyWeight(s=g["s"], exp_guard=g["exp_guard"])
 
     def build_noise_system(self, lattice: WaveLattice) -> NoiseSystem:
         noise = self.data["noise"]
@@ -298,7 +291,7 @@ class ExperimentConfig:
         n_wiener = (max(used) + 1) if used else 0
         return NoiseSystem(g=mult, xi=transport, n_wiener=n_wiener)
 
-    def stepper_config(self, cutoff: int, convection: bool | None = None) -> StepperConfig:
+    def stepper_config(self, cutoff: int) -> StepperConfig:
         phy = self.data["physics"]
         return StepperConfig(
             nu=phy["nu"], dt=phy["dt"], t_end=phy["t_end"], cutoff=cutoff,
@@ -306,7 +299,7 @@ class ExperimentConfig:
             phi_cap=self["gevrey.phi_cap"],
             budget_m=self["monitors.budget_m"],
             h2_r=self["monitors.h2_r"],
-            convection=phy["convection"] if convection is None else convection,
+            convection=phy["convection"],
             k0=self["initial.k0"],
         )
 

@@ -9,6 +9,10 @@ multipliers are even in k, so they act on the half alone; every Parseval sum
 takes its per-mode weight from `parseval_weight`, which counts each stored
 mode off the k_last = 0 plane twice. Coefficient arrays are frozen at
 construction; operations return new fields.
+A `GevreyWeight` holds only the exponential factor exp(phi |k|^(1/s)); the
+Sobolev order r of a Gevrey norm is each function's own argument, and
+`gevrey_range_error` is the one rule on when a squared weight can be
+evaluated.
 `pack_ball` cuts the Galerkin ball |k| <= N out of a half spectrum into the
 packed (dim, n_ball) rows that all Galerkin data takes from then on.
 """
@@ -31,39 +35,34 @@ class LatticeMismatchError(ValueError):
 
 
 class GevreyOverflowError(OverflowError):
-    """Gevrey exponent exceeds the configured guard: phi too large for this lattice."""
+    """A Gevrey weight leaves double range: phi too large for this lattice."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GevreyWeight:
-    """Parameters of the multiplier |k|^r * exp(phi * |k|^(1/s)).
+    """Parameters of the exponential multiplier exp(phi * |k|^(1/s)).
 
-    s is the Gevrey index (s=1: real-analytic class), r the Sobolev corrector
-    carried by weighted norms, phi the analyticity width. exp_guard caps the
-    exponent before evaluation; exceeding it raises instead of silently
-    producing inf.
+    s is the Gevrey index (s=1: real-analytic class), phi the analyticity
+    width. The Sobolev order r of a Gevrey norm ||A^(r/2) e^(phi A^(1/2s)) u||
+    is a separate factor that every norm takes as its own argument.
+    exp_guard caps the exponent; `gevrey_range_error` is the one rule that
+    decides whether a weight can be evaluated, so an overflow raises instead
+    of silently producing inf.
     """
 
     s: float = 1.0
-    r: float = 1.0
     phi: float = 0.0
     exp_guard: float = 650.0
 
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError(f"Gevrey index s must be > 0, got {self.s}")
-        if self.r < 0 or self.phi < 0:
-            raise ValueError("Sobolev corrector r and width phi must be >= 0")
+        if self.phi < 0:
+            raise ValueError("Gevrey width phi must be >= 0")
 
     def exponent(self, abs_k: np.ndarray) -> np.ndarray:
         """phi * |k|^(1/s) per mode, unclamped."""
-        if self.phi == 0.0:
-            return np.zeros_like(abs_k)
         return self.phi * np.power(abs_k, 1.0 / self.s)
-
-    def max_exponent(self, lattice: WaveLattice) -> float:
-        kmax = float(lattice.abs_k.max())
-        return float(self.phi * kmax ** (1.0 / self.s))
 
 
 @dataclass(frozen=True)
@@ -205,18 +204,15 @@ def stokes_power(f: SpectralField, r: float) -> SpectralField:
 
 
 def gevrey_apply(f: SpectralField, w: GevreyWeight) -> SpectralField:
-    """Apply the exponential multiplier exp(phi |k|^(1/s)); requires w.r == 0.
+    """Apply the exponential multiplier exp(phi |k|^(1/s)).
 
-    Raises GevreyOverflowError when phi * max|k|^(1/s) exceeds the guard,
-    signalling that phi is too large for this lattice.
+    Raises GevreyOverflowError when the squared multiplier, which every norm
+    of the result takes, leaves double range on this lattice (the
+    `gevrey_range_error` rule at order 0).
     """
-    if w.r != 0.0:
-        raise ValueError("gevrey_apply expects a weight with r=0; use stokes_power for the Sobolev part")
     if w.phi == 0.0:
         return f.with_coeffs(np.where(f.lattice.active, f.coeffs, 0.0))
-    if w.max_exponent(f.lattice) > w.exp_guard:
-        raise GevreyOverflowError(
-            f"Gevrey exponent {w.max_exponent(f.lattice):.1f} exceeds guard {w.exp_guard}")
+    _require_gevrey_range(f.lattice, w, 0.0)
     mult = np.exp(w.exponent(f.lattice.abs_k))
     out = np.where(f.lattice.active, f.coeffs * mult, 0.0)
     return f.with_coeffs(out)
@@ -235,30 +231,39 @@ def parseval_weight(lattice: WaveLattice, r: float,
     """Per-mode weight of a Parseval sum over the stored half spectrum.
 
     multiplicity * |k|^(2r) (zero on inactive modes), times the squared
-    Gevrey factor exp(2 phi |k|^(1/s)) when w has phi > 0; w.r is not read.
-    Raises GevreyOverflowError when that factor leaves double range.
+    Gevrey factor exp(2 phi |k|^(1/s)) when w has phi > 0. Raises
+    GevreyOverflowError when that weight leaves double range
+    (`gevrey_range_error` at order r).
     """
     weight = lattice.multiplicity * mode_weight(lattice, r)
     if w is not None and w.phi > 0.0:
-        top = w.max_exponent(lattice)
-        if top > w.exp_guard or 2.0 * top > _LOG_MAX_DOUBLE - 30.0:
-            raise GevreyOverflowError("squared Gevrey weight overflows double range")
+        _require_gevrey_range(lattice, w, r)
         weight = weight * np.exp(2.0 * w.exponent(lattice.abs_k))
     return weight
 
 
-def gevrey_range_error(phi: float, kmax: float, s: float, exp_guard: float) -> str | None:
-    """Why the squared Gevrey-H^2 weight |k|^4 exp(2 phi |k|^(1/s)) cannot be
+def gevrey_range_error(phi: float, kmax: float, s: float, exp_guard: float,
+                       r: float) -> str | None:
+    """Why the squared Gevrey weight |k|^(2r) exp(2 phi |k|^(1/s)) cannot be
     evaluated up to |k| = kmax, or None when it can: the exponent
-    phi kmax^(1/s) must stay within exp_guard and the weight in double range."""
+    phi kmax^(1/s) must stay within exp_guard and the weight in double range.
+    This is the one rule on the Gevrey range; every check calls it."""
     exponent = phi * kmax ** (1.0 / s)
     if exponent > exp_guard:
         return f"exponent {exponent:.1f} at |k|={kmax:g} exceeds gevrey.exp_guard={exp_guard}"
-    log_weight = 2.0 * exponent + 4.0 * math.log(max(kmax, 1.0))
+    log_weight = 2.0 * exponent + 2.0 * r * math.log(max(kmax, 1.0))
     if log_weight > _LOG_MAX_DOUBLE:
         return (f"the squared Gevrey weight at |k|={kmax:g} is exp({log_weight:.1f}), "
                 f"beyond double range exp({_LOG_MAX_DOUBLE:g})")
     return None
+
+
+def _require_gevrey_range(lattice: WaveLattice, w: GevreyWeight, r: float) -> None:
+    """Raise GevreyOverflowError unless w's squared weight at order r can be
+    evaluated on every mode of the lattice."""
+    problem = gevrey_range_error(w.phi, float(lattice.abs_k.max()), w.s, w.exp_guard, r)
+    if problem:
+        raise GevreyOverflowError(problem)
 
 
 def sobolev_norm_sq(f: SpectralField, r: float) -> float:
@@ -270,14 +275,14 @@ def sobolev_norm(f: SpectralField, r: float) -> float:
     return math.sqrt(sobolev_norm_sq(f, r))
 
 
-def gevrey_sobolev_norm_sq(f: SpectralField, w: GevreyWeight) -> float:
-    """Squared Gevrey norm ||exp(phi A^(1/2s)) f||_{H^r}^2.
+def gevrey_sobolev_norm_sq(f: SpectralField, w: GevreyWeight, r: float) -> float:
+    """Squared Gevrey norm ||exp(phi A^(1/2s)) f||_{H^r}^2 of Sobolev order r.
 
     A value that leaves double range, through the weight or through the
     field's own moduli, raises GevreyOverflowError: never a silent inf or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(parseval_weight(f.lattice, w.r, w) * _mod_sq(f.coeffs)))
+        total = float(np.sum(parseval_weight(f.lattice, r, w) * _mod_sq(f.coeffs)))
     if not math.isfinite(total):
         raise GevreyOverflowError(f"Gevrey-H^r norm overflows double range ({total})")
     return total

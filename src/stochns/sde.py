@@ -69,7 +69,7 @@ class StepperConfig:
     dt: float
     t_end: float
     cutoff: int
-    gevrey: GevreyWeight = GevreyWeight(s=1.0, r=1.0, phi=0.0)
+    gevrey: GevreyWeight = GevreyWeight()
     phi_cap: float = 0.5
     budget_m: float = 2.0        # M > 1, threshold above the initial enstrophy
     h2_r: float = float("inf")   # R > 0, threshold on the H^2 time integral
@@ -205,7 +205,7 @@ class _Stepper:
         abs_k = lattice.abs_k[ball]
         self.root_ball = np.power(abs_k, 1.0 / cfg.gevrey.s)
         kmax = float(abs_k.max()) if abs_k.size else 0.0
-        problem = gevrey_range_error(cfg.phi_cap, kmax, cfg.gevrey.s, cfg.gevrey.exp_guard)
+        problem = gevrey_range_error(cfg.phi_cap, kmax, cfg.gevrey.s, cfg.gevrey.exp_guard, 2.0)
         if problem:
             raise ValueError(f"phi_cap={cfg.phi_cap}: {problem}")
 
@@ -238,13 +238,13 @@ class _Stepper:
                     out[path] -= nonlinear.convect(u, u, self.convect_plan)
         return out
 
-    def noise_sum(self, dw: np.ndarray, phases) -> tuple[np.ndarray, np.ndarray]:
+    def noise_sum(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal noise lin + i d, summed up from +0: lin = sum_k c_k dW_k
         of a linear g, (..., 1), and the complex (..., n_ball) array i d with
-        d = -sum_k dW_k phases_k over the transport family."""
+        d = -sum_k dW_k decay (xi_k . k) over the transport family."""
         sys_ = self.system
         mult = np.zeros(dw.shape[:-1] + self.ksq.shape, dtype=np.complex128)
-        for phase, k_index in zip(phases, sys_.xi.index_set):
+        for phase, k_index in zip(self.xi_decay, sys_.xi.index_set):
             mult.imag -= dw[..., k_index, None] * phase
         lin = np.zeros(dw.shape[:-1] + (1,))
         if sys_.g.variant == "linear":
@@ -261,7 +261,7 @@ class _Stepper:
         convection and the additive fields are added outside it."""
         # convection first: while convect runs, no other array of the step is live
         drift = self.explicit_drift(c) if self.cfg.convection else None
-        lin, m = self.noise_sum(dw, self.xi_decay)
+        lin, m = self.noise_sum(dw)
         m.real = self.step_diag
         if self.system.g.variant == "linear":
             m.real += lin * self.decay

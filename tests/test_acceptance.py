@@ -43,7 +43,7 @@ def test_c01_cancellation_identity():
         for r in (0.0, 0.5, 1.0):
             for phi in (0.0, 0.1, 0.3):
                 res = check_cancellation(np.array([0.7, -0.2]), u,
-                                         GevreyWeight(s=1.0, r=1.0, phi=phi), r)
+                                         GevreyWeight(s=1.0, phi=phi), r)
                 worst = max(worst, res)
     report("criterion 1: cancellation residual <= 1e-12 over r, phi, grids",
            worst <= 1e-12, f"worst residual {worst:.3e}")
@@ -124,7 +124,7 @@ def test_c04_structural_identities():
     if sobolev_norm(leray_project(p1) - p1, 0.0) > 1e-12 * sobolev_norm(p1, 0.0):
         failures.append("leray idempotence")
 
-    w = GevreyWeight(s=1.0, r=0.0, phi=0.1)
+    w = GevreyWeight(s=1.0, phi=0.1)
     a = galerkin_project(stokes_power(gevrey_apply(p1, w), 0.5), 6)
     b = gevrey_apply(stokes_power(galerkin_project(p1, 6), 0.5), w)
     if sobolev_norm(a - b, 0.0) > 1e-12 * max(sobolev_norm(b, 0.0), 1e-30):
@@ -272,7 +272,7 @@ def test_c07_reference_headroom(decay_result):
 # 8. convective-estimate ratio stability
 
 def test_c08_convective_ratio_stability():
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.1)
+    w = GevreyWeight(s=1.0, phi=0.1)
     r16 = check_convective_bounds(build_lattice(2, 16), 100, w, seed=3)
     r32 = check_convective_bounds(build_lattice(2, 32), 100, w, seed=3)
     rel_tri = abs(r32.gevrey_trilinear - r16.gevrey_trilinear) / r16.gevrey_trilinear

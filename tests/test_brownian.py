@@ -28,6 +28,20 @@ def test_off_grid_t0_rejected():
         increments(spec, 0.0149999, 0.01, 10)
 
 
+def test_path_spec_and_increments_refuse_invalid_input():
+    with pytest.raises(ValueError, match="path_index out of range"):
+        PathSpec(master_seed=7, path_index=-1, n_processes=1)
+    with pytest.raises(ValueError, match="path_index out of range"):
+        PathSpec(master_seed=7, path_index=1 << 48, n_processes=1)
+    with pytest.raises(ValueError, match="n_processes must be >= 0"):
+        PathSpec(master_seed=7, path_index=0, n_processes=-1)
+    spec = PathSpec(master_seed=7, path_index=0, n_processes=1)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        increments_paths([spec], 0.0, 0.0, 10)
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        increments_paths([spec], 0.0, 0.01, -1)
+
+
 def test_moments_within_five_se():
     spec = PathSpec(master_seed=11, path_index=0, n_processes=2)
     dt = 0.5

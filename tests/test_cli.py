@@ -239,6 +239,21 @@ def test_invariants_command_pass_and_fail(tmp_path, capsys):
     assert "noise_orthogonality" in table and "FAIL" in table
 
 
+@pytest.mark.parametrize("command,preset,flags", [
+    ("linear-oracle", default_oracle_config, ["--paths", "4"]),
+    ("invariants", ExperimentConfig.default, []),
+], ids=["linear-oracle", "invariants"])
+def test_builtin_preset_matches_its_saved_config(tmp_path, command, preset, flags):
+    saved = tmp_path / "preset.json"
+    saved.write_text(preset().canonical_json())
+    assert main([command, *flags, "--out", str(tmp_path / "builtin")]) == 0
+    assert main([command, "--config", str(saved), *flags, "--out", str(tmp_path / "saved")]) == 0
+    builtin, from_file = data_files(tmp_path / "builtin"), data_files(tmp_path / "saved")
+    assert [p.name for p in builtin] == [p.name for p in from_file] != []
+    for a, b in zip(builtin, from_file):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
 def test_overlapping_index_sets_refused(tmp_path, capsys):
     # g = 0 on the shared index makes every sampled cross inner product
     # vanish, so only the index sets themselves show the overlap

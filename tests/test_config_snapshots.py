@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from conftest import full_grid_k, full_spectrum, smooth_field, state_field, transport_system
 from stochns.brownian import PathSpec, increments
 from stochns.cli import main
-from stochns.config import ConfigError, ExperimentConfig, default_oracle_config
+from stochns.config import ConfigError, ExperimentConfig, _deep_update, default_oracle_config
 from stochns.fields import pack_ball, random_h1_field
 from stochns.sde import StepperConfig, initial_state, integrate
 from stochns.snapshots import load_state, save_increments, save_state, sha256_file
@@ -26,6 +27,16 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({**ExperimentConfig.default().data, "extra": 1})
 
 
+def test_optional_noise_keys_allowed_only_in_their_section():
+    with pytest.raises(ConfigError, match="at noise.multiplicative: \\['vectors'\\]"):
+        ExperimentConfig.default(**{"noise": {"multiplicative": {"vectors": [[1.0, 0.0]]}}})
+    with pytest.raises(ConfigError, match="at noise.transport: \\['modes'\\]"):
+        ExperimentConfig.default(**{"noise": {"transport": {"modes": [[1, 0]]}}})
+    vectors = [[1.0, 0.0]] * 4
+    cfg = ExperimentConfig.default(**{"noise": {"transport": {"vectors": vectors}}})
+    assert cfg["noise.transport.vectors"] == vectors
+
+
 @pytest.mark.parametrize("overrides,msg", [
     ({"lattice": {"grid_n": 15}}, "even"),
     ({"galerkin": {"cutoffs": [8, 16], "n_ref": 20}}, "2\\*max"),
@@ -34,10 +45,41 @@ def test_unknown_keys_rejected():
     ({"monitors": {"budget_m": 0.5}}, "exceed 1"),
     ({"noise": {"multiplicative": {"variant": "weird"}}}, "variant"),
     ({"noise": {"transport": {"variant": "spectral"}}}, "transport.variant must be 'constant'"),
-], ids=["odd-grid", "nref", "headroom", "dt-grid", "budget-m", "variant", "transport-variant"])
-def test_validation_errors(overrides, msg):
+    ({"physics": 5}, "config section 'physics' must be an object"),
+    ({"schema_version": 2}, "schema_version must be 1"),
+    ({"lattice": {"dim": 4}}, "lattice.dim must be 2 or 3"),
+    ({"physics": {"nu": 0.0}}, "physics: nu, dt must be > 0"),
+    ({"galerkin": {"cutoffs": [8, 8]}}, "galerkin.cutoffs must be distinct integers"),
+    ({"gevrey": {"s": 0.0}}, "gevrey: s > 0"),
+    ({"gevrey": {"r": -1.0}}, "r >= 0"),
+    ({"monitors": {"h2_r": 0.0}}, "monitors.h2_r must be positive"),
+    ({"initial": {"beta": 0.0}}, "initial.beta and initial.k0 must be positive"),
+    ({"ensemble": {"n_paths": 0}}, "ensemble.n_paths and ensemble.workers must be >= 1"),
+    ({"outputs": {"formats": ["xml"]}}, re.escape("unknown output formats: ['xml']")),
+    ({"outputs": {"snapshot_stride": 0}}, "outputs.snapshot_stride must be >= 1"),
+    ({"burn_in_frac": 1.0}, re.escape("burn_in_frac must lie in [0, 1)")),
+    ({"oracle": {"refinements": 0}}, "oracle.refinements must be >= 1"),
+    ({"noise": {"multiplicative": {"coefficients": [0.1, 0.2]}}},
+     "linear noise: coefficients and index_set lengths differ"),
+    ({"noise": {"multiplicative": {"variant": "additive", "amplitudes": [0.1], "modes": [],
+                                   "index_set": [0]}}},
+     "additive noise: amplitudes, modes, index_set lengths differ"),
+    ({"noise": {"transport": {"vectors": [[1.0, 0.0]]}}},
+     "transport: vectors and index_set lengths differ"),
+    ({"noise": {"transport": {"count": 3}}}, "transport: count and index_set lengths differ"),
+], ids=["odd-grid", "nref", "headroom", "dt-grid", "budget-m", "variant", "transport-variant",
+        "section-type", "schema", "dim", "nu", "cutoffs", "gevrey-s", "gevrey-r", "h2-r",
+        "beta", "n-paths", "formats", "stride", "burn-in", "refinements", "linear-lengths",
+        "additive-lengths", "vectors-lengths", "count-length"])
+def test_validation_errors(tmp_path, overrides, msg):
     with pytest.raises(ConfigError, match=msg):
         ExperimentConfig.default(**overrides)
+    data = ExperimentConfig.default().data
+    _deep_update(data, overrides)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("drop,msg", [

@@ -107,7 +107,7 @@ def test_fit_radius_gevrey_shift(lat64):
     delta = 0.4
     f = exponential_shell_field(lat64, delta)
     before = fit_radius(field_spectrum(f)).decay_rate
-    g = gevrey_apply(f, GevreyWeight(s=1.0, r=0.0, phi=delta))
+    g = gevrey_apply(f, GevreyWeight(s=1.0, phi=delta))
     after = fit_radius(field_spectrum(g)).decay_rate
     assert abs(after - (before - delta)) <= 0.05
 
@@ -166,7 +166,7 @@ def test_fit_exp_rate_refusals():
 def test_cancellation_single_mode_arithmetic(lat16):
     # k=(2,0), xi=(1,0): inner product -4 w and squared norm +4 w cancel exactly
     u = single_mode_field(lat16, (2, 0), (0.0, 1.0))
-    res = check_cancellation(np.array([1.0, 0.0]), u, GevreyWeight(s=1, r=1, phi=0.1), r=0.5)
+    res = check_cancellation(np.array([1.0, 0.0]), u, GevreyWeight(s=1, phi=0.1), r=0.5)
     assert res <= 1e-14
 
 
@@ -174,18 +174,18 @@ def test_cancellation_single_mode_arithmetic(lat16):
 def test_cancellation_constant_xi(grid):
     lat = build_lattice(2, grid)
     u = smooth_field(lat, seed=8)
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.1)
+    w = GevreyWeight(s=1.0, phi=0.1)
     for r in (0.0, 0.5, 1.0):
         assert check_cancellation(np.array([0.7, -0.2]), u, w, r) <= 1e-12
 
 
 def test_cancellation_zero_xi(lat16):
     u = smooth_field(lat16, seed=9)
-    assert check_cancellation(np.zeros(2), u, GevreyWeight(s=1, r=1, phi=0.0), 1.0) == 0.0
+    assert check_cancellation(np.zeros(2), u, GevreyWeight(s=1, phi=0.0), 1.0) == 0.0
 
 
 def test_convective_bounds_finite_and_stable():
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.1)
+    w = GevreyWeight(s=1.0, phi=0.1)
     r16 = check_convective_bounds(build_lattice(2, 16), 30, w, seed=10)
     r32 = check_convective_bounds(build_lattice(2, 32), 30, w, seed=10)
     for rep in (r16, r32):

@@ -9,7 +9,8 @@ from stochns.fields import (GevreyOverflowError, GevreyWeight,
                             galerkin_complement, galerkin_project,
                             gevrey_apply,
                             gevrey_sobolev_norm_sq, inner_ball,
-                            leray_project, pack_ball, random_field, random_h1_field,
+                            leray_project, pack_ball, parseval_weight, random_field,
+                            random_h1_field,
                             single_mode_field, sobolev_norm,
                             sobolev_norm_sq, stokes_power, transfer,
                             validate_physical, weighted_inner, zero_field)
@@ -99,7 +100,7 @@ def test_projector_continuity_constant_one_exact(lat16, r):
 def test_pn_qn_orthogonality_weighted(lat32):
     x = rough_field(lat32, seed=7)
     y = rough_field(lat32, seed=8)
-    w = GevreyWeight(s=1.0, r=0.0, phi=0.1)
+    w = GevreyWeight(s=1.0, phi=0.1)
     for r in (0.0, 0.5, 1.0):
         inner = weighted_inner(galerkin_project(x, 7), galerkin_complement(y, 7),
                                r=r, w=w)
@@ -139,39 +140,56 @@ def test_stokes_half_composes_to_full(lat32):
 
 def test_gevrey_identity_and_scalar(lat16):
     f = smooth_field(lat16, seed=13)
-    w0 = GevreyWeight(s=1.0, r=0.0, phi=0.0)
+    w0 = GevreyWeight(s=1.0, phi=0.0)
     assert np.array_equal(gevrey_apply(f, w0).coeffs, f.coeffs)
     g = gevrey_apply(single_mode_field(lat16, (2, 0), (0.0, 1.0)),
-                     GevreyWeight(s=1.0, r=0.0, phi=0.1))
+                     GevreyWeight(s=1.0, phi=0.1))
     np.testing.assert_allclose(g.coeffs[1, 2, 0], math.exp(0.2), rtol=1e-14)
 
 
 def test_gevrey_commutes_with_stokes(lat32):
     f = smooth_field(lat32, seed=14)
-    w = GevreyWeight(s=1.0, r=0.0, phi=0.2)
+    w = GevreyWeight(s=1.0, phi=0.2)
     a = gevrey_apply(stokes_power(f, 0.75), w)
     b = stokes_power(gevrey_apply(f, w), 0.75)
     assert sobolev_norm(a - b, 0.0) <= 1e-13 * sobolev_norm(b, 0.0)
 
 
-def test_gevrey_apply_requires_r_zero(lat16):
-    with pytest.raises(ValueError):
-        gevrey_apply(smooth_field(lat16), GevreyWeight(s=1.0, r=1.0, phi=0.1))
-
-
 def test_gevrey_overflow_flagged(lat32):
     f = smooth_field(lat32, seed=15)
     with pytest.raises(GevreyOverflowError):
-        gevrey_apply(f, GevreyWeight(s=1.0, r=0.0, phi=60.0))
+        gevrey_apply(f, GevreyWeight(s=1.0, phi=60.0))
     with pytest.raises(GevreyOverflowError):
-        math.sqrt(gevrey_sobolev_norm_sq(f, GevreyWeight(s=1.0, r=1.0, phi=60.0)))
+        math.sqrt(gevrey_sobolev_norm_sq(f, GevreyWeight(s=1.0, phi=60.0), 1.0))
+
+
+def test_gevrey_weight_beyond_double_range_raises_below_guard():
+    # phi max|k| = 75 * 11.3 = 849 stays under exp_guard 1000, but the squared
+    # multiplier exp(1697) is beyond double range: refused, not inf
+    lat = build_lattice(2, 16)
+    w = GevreyWeight(s=1.0, phi=75.0, exp_guard=1000.0)
+    with pytest.raises(GevreyOverflowError, match="double range"):
+        gevrey_apply(random_field(lat, np.random.default_rng(0)), w)
+    with pytest.raises(GevreyOverflowError, match="double range"):
+        parseval_weight(lat, 0.0, w)
+
+
+def test_gevrey_weight_is_keyword_only_without_sobolev_order():
+    with pytest.raises(TypeError):
+        GevreyWeight(r=1.0)
+    with pytest.raises(TypeError):
+        GevreyWeight(1.0, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        GevreyWeight(s=0.0)
+    with pytest.raises(ValueError):
+        GevreyWeight(phi=-0.1)
 
 
 def test_gevrey_norm_overflowing_modulus_raises():
     # |u_hat|^2 = 1e400 is inf although the field and the weight are finite
     f = single_mode_field(build_lattice(2, 32), (1, 0), (0.0, 1e200))
     with pytest.raises(GevreyOverflowError):
-        gevrey_sobolev_norm_sq(f, GevreyWeight(r=1.0, phi=0.1))
+        gevrey_sobolev_norm_sq(f, GevreyWeight(phi=0.1), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +218,16 @@ def test_stokes_power_norm_identity(lat32, r):
 
 def test_gevrey_norm_reduces_to_sobolev_at_zero_width(lat32):
     f = rough_field(lat32, seed=17)
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.0)
-    norm = math.sqrt(gevrey_sobolev_norm_sq(f, w))
+    w = GevreyWeight(s=1.0, phi=0.0)
+    norm = math.sqrt(gevrey_sobolev_norm_sq(f, w, 1.0))
     assert abs(norm - sobolev_norm(f, 1.0)) <= 1e-12 * sobolev_norm(f, 1.0)
 
 
 def test_gevrey_norm_matches_direct_weighting(lat16):
     f = smooth_field(lat16, seed=18)
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.3)
-    direct = sobolev_norm(gevrey_apply(f, GevreyWeight(s=1.0, r=0.0, phi=0.3)), 1.0)
-    assert abs(math.sqrt(gevrey_sobolev_norm_sq(f, w)) - direct) <= 1e-12 * direct
+    w = GevreyWeight(s=1.0, phi=0.3)
+    direct = sobolev_norm(gevrey_apply(f, GevreyWeight(s=1.0, phi=0.3)), 1.0)
+    assert abs(math.sqrt(gevrey_sobolev_norm_sq(f, w, 1.0)) - direct) <= 1e-12 * direct
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +350,11 @@ def test_parseval_sums_match_full_grid(dim, grid):
         assert sobolev_norm_sq(f, r) == pytest.approx(reference_sum(f, f, 2 * r), rel=1e-13)
     for r in (0.0, 1.0, 2.0):
         for phi in (0.0, 0.3):
-            w = GevreyWeight(s=1.0, r=0.0, phi=phi) if phi else None
+            w = GevreyWeight(s=1.0, phi=phi) if phi else None
             ref = reference_sum(f, g, 4 * r, phi)
             assert weighted_inner(f, g, r=r, w=w) == pytest.approx(ref, rel=1e-13)
-    w = GevreyWeight(s=1.0, r=1.0, phi=0.3)
-    assert gevrey_sobolev_norm_sq(f, w) == pytest.approx(reference_sum(f, f, 2, 0.3), rel=1e-13)
+    w = GevreyWeight(s=1.0, phi=0.3)
+    assert gevrey_sobolev_norm_sq(f, w, 1.0) == pytest.approx(reference_sum(f, f, 2, 0.3), rel=1e-13)
     # shell energies: bin the full grid by kappa = round(|k|)
     k = full_grid_k(dim, grid)
     kappa = np.rint(np.sqrt(np.sum(k * k, axis=0))).astype(int)

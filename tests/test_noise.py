@@ -9,7 +9,7 @@ from stochns.noise import (MultiplicativeNoise, NoiseSystem, TransportNoise,
                            validate_commutativity, validate_growth_lipschitz,
                            validate_orthogonality, validate_system)
 
-W1 = GevreyWeight(s=1.0, r=1.0, phi=0.0)
+W1 = GevreyWeight(s=1.0, phi=0.0)
 
 
 def test_eval_g_zero_variant(lat16):
@@ -39,16 +39,35 @@ def test_eval_g_additive_is_u_independent(lat16):
     assert abs(sobolev_norm(sigma, 0.0) - 0.4) <= 1e-12
 
 
+@pytest.mark.parametrize("build,msg", [
+    (lambda lat: MultiplicativeNoise(variant="cubic"), "unknown multiplicative variant"),
+    (lambda lat: MultiplicativeNoise(variant="additive", index_set=(0,)),
+     "one sigma field per Wiener index"),
+    (lambda lat: MultiplicativeNoise.linear([0.1, 0.2], [0]), "one coefficient per Wiener index"),
+    (lambda lat: MultiplicativeNoise(variant="zero", index_set=(0,)), "owns no Wiener indices"),
+    (lambda lat: MultiplicativeNoise.linear([0.1, 0.2], [0, 0]), "duplicate Wiener indices in g"),
+    (lambda lat: TransportNoise.constant([[1.0, 0.0]], [0, 1]), "one vector per Wiener index"),
+    (lambda lat: TransportNoise.constant([[1.0, 0.0], [0.0, 1.0]], [2, 2]),
+     "duplicate Wiener indices in xi"),
+    (lambda lat: solenoidal_mode_field(lat, (0, 0), 0.1), "nonzero wavevector"),
+    (lambda lat: solenoidal_mode_field(lat, (1, 0, 0), 0.1), "nonzero wavevector"),
+], ids=["variant", "additive-count", "linear-count", "zero-indices", "g-duplicates",
+        "xi-count", "xi-duplicates", "zero-mode", "mode-dim"])
+def test_noise_families_refuse_invalid_input(lat16, build, msg):
+    with pytest.raises(ValueError, match=msg):
+        build(lat16)
+
+
 def test_growth_lipschitz_zero_variant(lat16):
     system = NoiseSystem(g=MultiplicativeNoise.zero(), xi=TransportNoise.empty(), n_wiener=0)
-    rep = validate_growth_lipschitz(system, lat16, W1, n_samples=3)
+    rep = validate_growth_lipschitz(system, lat16, W1, 1.0, n_samples=3)
     assert rep.c_growth == 0.0 and rep.c_lipschitz == 0.0
 
 
 def test_growth_lipschitz_linear_unit_sum(lat16):
     g = MultiplicativeNoise.linear([0.5, 0.3, 0.2], [0, 1, 2])
     system = NoiseSystem(g=g, xi=TransportNoise.empty(), n_wiener=3)
-    rep = validate_growth_lipschitz(system, lat16, W1, n_samples=4)
+    rep = validate_growth_lipschitz(system, lat16, W1, 1.0, n_samples=4)
     assert rep.c_lipschitz <= 1.0 + 1e-12
     assert abs(rep.c_lipschitz - 1.0) <= 1e-12  # scalar multiples make it exact
 
@@ -57,7 +76,7 @@ def test_growth_lipschitz_additive(lat16):
     sigma = solenoidal_mode_field(lat16, (1, 0), 0.7)
     system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
                          xi=TransportNoise.empty(), n_wiener=1)
-    rep = validate_growth_lipschitz(system, lat16, W1, n_samples=4)
+    rep = validate_growth_lipschitz(system, lat16, W1, 1.0, n_samples=4)
     assert rep.c_lipschitz == 0.0
     assert rep.c_growth > 0.0
 
@@ -97,7 +116,7 @@ def test_orthogonality_disjoint_structural(lat16):
     system = NoiseSystem(g=MultiplicativeNoise.linear([0.2], [0]),
                          xi=TransportNoise.constant([np.array([1.0, 0.0])], [1]),
                          n_wiener=2)
-    rep = validate_orthogonality(system, lat16, W1)
+    rep = validate_orthogonality(system, lat16, W1, 1.0)
     assert rep.structural and rep.ok
 
 
@@ -106,7 +125,7 @@ def test_orthogonality_overlap_with_zero_g_passes(lat16):
     g = MultiplicativeNoise.linear([0.0], [0])
     system = NoiseSystem(g=g, xi=TransportNoise.constant([np.array([1.0, 0.0])], [0]),
                          n_wiener=1)
-    rep = validate_orthogonality(system, lat16, W1)
+    rep = validate_orthogonality(system, lat16, W1, 1.0)
     assert not rep.structural
     assert rep.worst_inner == 0.0 and rep.ok
 
@@ -116,7 +135,7 @@ def test_orthogonality_overlap_violation_detected(lat16):
     system = NoiseSystem(g=MultiplicativeNoise.additive([sigma], [0]),
                          xi=TransportNoise.constant([np.array([1.0, 0.0])], [0]),
                          n_wiener=1)
-    rep = validate_orthogonality(system, lat16, W1)
+    rep = validate_orthogonality(system, lat16, W1, 1.0)
     assert not rep.ok and rep.worst_inner > 0.0
 
 

@@ -312,7 +312,7 @@ def test_transport_multiplier(lat16):
 def test_transport_skew_adjoint_in_weighted_products(lat32, r, phi):
     u = smooth_field(lat32, seed=9)
     tu = transport(np.array([0.9, -0.4]), u)
-    w = GevreyWeight(s=1.0, r=0.0, phi=phi)
+    w = GevreyWeight(s=1.0, phi=phi)
     assert abs(weighted_inner(tu, u, r=r, w=w)) <= 1e-12 * weighted_inner(u, u, r=r, w=w)
 
 
@@ -331,6 +331,11 @@ def test_corrector_single_mode(lat16):
     # the multiplier is a sum over the family: a repeated vector doubles it
     _, twice = transport_multipliers(lat16, [np.array([1.0, 0.0])] * 2)
     np.testing.assert_array_equal(twice, 2 * once)
+
+
+def test_transport_multipliers_refuse_wrong_dimension(lat16):
+    with pytest.raises(ValueError, match="constant xi must have shape \\(2,\\)"):
+        transport_multipliers(lat16, [np.array([1.0, 0.0, 0.0])])
 
 
 def test_corrector_perpendicular_family(lat16):
@@ -356,7 +361,7 @@ def test_cancellation_identity(lat32, r, phi):
     # <A^r e (xi.grad)(xi.grad) u, A^r e u> + ||A^r e (xi.grad) u||^2 = 0
     u = smooth_field(lat32, seed=13)
     xi = np.array([0.9, 0.4])
-    w = GevreyWeight(s=1.0, r=0.0, phi=phi)
+    w = GevreyWeight(s=1.0, phi=phi)
     t2 = transport(xi, transport(xi, u))
     t1 = transport(xi, u)
     lhs = weighted_inner(t2, u, r=r, w=w) + weighted_inner(t1, t1, r=r, w=w)

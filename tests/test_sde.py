@@ -10,7 +10,8 @@ import pytest
 from conftest import smooth_field, state_field, transport_system, unpack
 from stochns import studies
 from stochns.brownian import PathSpec, increments, refine, refine_paths
-from stochns.config import ExperimentConfig, default_decay_config, default_oracle_config
+from stochns.config import (ConfigError, ExperimentConfig, default_decay_config,
+                            default_oracle_config)
 from stochns.fields import (galerkin_complement, pack_ball, random_h1_field,
                             single_mode_field, sobolev_norm_sq, transfer,
                             validate_physical, zero_field)
@@ -188,9 +189,9 @@ def test_advance_batch_matches_single_paths_bitwise(dim, grid, cutoff, g_kind):
     batch = _stack(stepper, lat, c, t=0.2)
     assert _advance(batch, stepper, dw) == []
     assert batch.c.tobytes() == c_new.tobytes()
-    noise = stepper.noise_sum(dw, stepper.xi_decay)
+    noise = stepper.noise_sum(dw)
     for p in range(4):
-        for part, alone in zip(noise, stepper.noise_sum(dw[p], stepper.xi_decay)):
+        for part, alone in zip(noise, stepper.noise_sum(dw[p])):
             assert part[p].tobytes() == alone.tobytes()
         assert c_new[p].tobytes() == stepper.advance(c[p], dw[p]).tobytes()
         alone = _stack(stepper, lat, c[p:p + 1], t=0.2)
@@ -505,6 +506,50 @@ def test_nonfinite_detected(lat32, off_system):
     with pytest.raises(NonFiniteError):
         integrate(dataclasses.replace(cfg, t_end=cfg.dt), off_system, PathSpec(1, 0, 0), u0,
                   resume=bad)
+
+
+@pytest.mark.parametrize("changes,msg", [
+    ({"nu": 0.0}, "nu, dt must be positive"),
+    ({"dt": -1e-3}, "nu, dt must be positive"),
+    ({"t_end": -0.1}, "t_end >= 0"),
+    ({"budget_m": 1.0}, "M must exceed 1"),
+    ({"h2_r": 0.0}, "R must be positive"),
+], ids=["nu", "dt", "t-end", "budget-m", "h2-r"])
+def test_stepper_config_refuses_invalid_values(changes, msg):
+    with pytest.raises(ValueError, match=msg):
+        make_cfg(**changes)
+
+
+def test_stepper_config_refuses_t_end_off_the_step_grid():
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        make_cfg(t_end=0.0505).n_steps
+
+
+def test_integrate_paths_refuses_wrong_wiener_count_and_late_checkpoint(lat32, xi_system):
+    cfg = make_cfg(t_end=0.002)
+    u0 = smooth_field(lat32, seed=6)
+    with pytest.raises(ValueError, match="Wiener count"):
+        integrate(cfg, xi_system, PathSpec(1, 0, xi_system.n_wiener + 1), u0)
+    late = dataclasses.replace(initial_state(u0, cfg), t=0.003, step=3)
+    with pytest.raises(ValueError, match="beyond t_end"):
+        integrate(cfg, xi_system, PathSpec(1, 0, xi_system.n_wiener), u0, resume=late)
+
+
+@pytest.mark.parametrize("study,overrides,msg", [
+    (studies.decay_study, {}, "at least 3 cutoffs"),
+    (studies.linear_oracle_study, {"physics": {"convection": False}},
+     "zero multiplicative noise"),
+    (studies.linear_oracle_study, {"physics": {"convection": False},
+                                   "noise": {"multiplicative": {"variant": "zero",
+                                                                "index_set": []}}},
+     "exactly one constant transport vector"),
+], ids=["decay-cutoffs", "oracle-multiplicative", "oracle-transport-count"])
+def test_studies_refuse_configs_they_cannot_run(study, overrides, msg):
+    config = ExperimentConfig.default(**{"lattice": {"grid_n": 16},
+                                         "galerkin": {"cutoffs": [2], "n_ref": 4},
+                                         **overrides})
+    with pytest.raises(ConfigError, match=msg):
+        study(config)
 
 
 # ---------------------------------------------------------------------------
